@@ -41,6 +41,8 @@ const char* counter_name(Counter c) {
       return "pool_loops";
     case Counter::kPoolChunks:
       return "pool_chunks";
+    case Counter::kPoolWakes:
+      return "pool_wakes";
     case Counter::kHashBytes:
       return "hash_bytes";
     case Counter::kCount:

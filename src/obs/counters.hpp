@@ -43,6 +43,7 @@ enum class Counter : int {
   kBfsTilesVisited,     // tiles whose mask payload a BFS kernel touched
   kPoolLoops,           // parallel_ranges invocations (incl. serial path)
   kPoolChunks,          // chunks claimed from pool work queues
+  kPoolWakes,           // dispatches published to pool workers
   kHashBytes,           // bytes fed to the matrix-store content hash
   kCount
 };

@@ -90,4 +90,16 @@ inline void spin_unlock(unsigned char* lock) {
       0, std::memory_order_release);
 }
 
+/// Busy-wait hint for spin loops: `pause` on x86, `yield` on aarch64, a
+/// no-op elsewhere. It frees the core's pipeline for a sibling hyperthread
+/// and keeps the loop from flooding the memory system with speculative
+/// loads of the word it polls.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
 }  // namespace tilespmspv

@@ -12,6 +12,7 @@
 #include "obs/shard_stats.hpp"
 #include "obs/trace.hpp"
 #include "parallel/arena.hpp"
+#include "parallel/atomics.hpp"
 
 namespace tilespmspv {
 
@@ -64,7 +65,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_relaxed);
   }
   cv_.notify_all();
   for (auto& w : workers_) {
@@ -165,26 +166,69 @@ void ThreadPool::drain_sharded(Task& task) {
   obs::counter_add(obs::Counter::kPoolChunks, chunks);
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    Task* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return stop_ || (current_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (stop_) return;
-      task = current_;
-      seen_epoch = epoch_;
+std::uint64_t ThreadPool::await_epoch(std::uint64_t seen) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned spins = 1;; ++spins) {
+    const std::uint64_t e = epoch_.load(std::memory_order_acquire);
+    if (e != seen || stop_.load(std::memory_order_relaxed)) return e;
+    // The clock read costs more than a poll; check it every 64 polls.
+    if (spins % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      break;
     }
-    {
+    cpu_relax();
+  }
+  // Park. Registering in sleepers_ before re-reading the epoch pairs with
+  // run_task's bump-then-read: either the publisher sees this sleeper and
+  // notifies, or the predicate below sees the new epoch.
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  std::uint64_t e = seen;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] {
+      e = epoch_.load(std::memory_order_seq_cst);
+      return e != seen || stop_.load(std::memory_order_relaxed);
+    });
+  }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  return e;
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    seen = await_epoch(seen);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    Task* task = current_.load(std::memory_order_seq_cst);
+    if (task == nullptr) continue;  // woke on a close
+    inflight_.fetch_add(1, std::memory_order_seq_cst);  // join
+    // Re-check after joining: if the caller closed this epoch first it may
+    // already have returned, and *task is gone. A reused stack address
+    // comes back under a newer epoch, so the epoch check also rules out
+    // draining some later task by mistake.
+    if (current_.load(std::memory_order_seq_cst) == task &&
+        epoch_.load(std::memory_order_seq_cst) == seen) {
       obs::TraceSpan span("pool/task", "pool");
       drain(*task);
     }
-    if (task->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
+    inflight_.fetch_sub(1, std::memory_order_release);  // leave
+  }
+}
+
+void ThreadPool::close_and_wait() {
+  current_.store(nullptr, std::memory_order_seq_cst);
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  // Wait for the workers that joined; parked and late ones re-check and
+  // back off. The load must be seq_cst, not merely acquire: the close
+  // above is a store and this is a later load of another variable, and
+  // only sequential consistency keeps the two from reordering against a
+  // worker's join-then-re-check. A joined worker is mid-drain, so this is
+  // short unless the host is oversubscribed and preempted it; yield then.
+  for (unsigned spins = 0; inflight_.load(std::memory_order_seq_cst) != 0;
+       ++spins) {
+    if (spins < 4096) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
     }
   }
 }
@@ -206,25 +250,24 @@ void ThreadPool::run_task(Task& task) {
     return;
   }
   obs::TraceSpan span("pool/parallel_ranges", "pool");
-  task.remaining.store(static_cast<int>(workers_.size()),
-                       std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    current_ = &task;
-    ++epoch_;
+  obs::counter_add(obs::Counter::kPoolWakes, 1);
+  current_.store(&task, std::memory_order_seq_cst);
+  epoch_.fetch_add(1, std::memory_order_seq_cst);  // publish
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    // A parked worker evaluates its predicate under the mutex; passing
+    // through it orders the epoch bump before that evaluation or the
+    // notify after the worker's wait began, so no wake-up is lost.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
   }
-  cv_.notify_all();
-  {
+  try {
     CallerSlotBinding bind;
     drain(task);  // caller thread participates as slot 0
+  } catch (...) {
+    close_and_wait();  // workers may still be draining the caller's frame
+    throw;
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] {
-      return task.remaining.load(std::memory_order_acquire) == 0;
-    });
-    current_ = nullptr;
-  }
+  close_and_wait();
 }
 
 ThreadPool& ThreadPool::shared() {

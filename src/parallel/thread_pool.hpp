@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -28,6 +29,30 @@ namespace tilespmspv {
 /// through a captured function pointer + context, so dispatching a loop
 /// allocates nothing (the old std::function path heap-allocated a closure
 /// per call, measurable on the fine-grained SpMSpV phase loops).
+///
+/// Dispatch protocol (the analog of a kernel launch, so it must cost about
+/// a microsecond, not the tens a mutex round trip costs):
+///   - publish: the caller stores the task pointer and bumps an atomic
+///     epoch; it touches the mutex only when a worker is parked;
+///   - spin, then park: after each task a worker spins on the epoch for
+///     kSpinBudget, then parks on a condition variable;
+///   - join: a worker that sees a new epoch increments an in-flight count,
+///     then re-checks that the task and epoch are still current before it
+///     drains; a worker that loses the race leaves without touching it;
+///   - close: after its own drain the caller clears the task pointer,
+///     bumps the epoch again and waits only until the in-flight count is
+///     0. Parked or late workers never hold it up.
+/// Join, re-check, close and the caller's wait are sequentially
+/// consistent, so either the worker's re-check sees the close or the
+/// caller's wait sees the join. Each drainer leaves with a release
+/// decrement that the wait reads (seq_cst includes acquire), so every
+/// write made inside a body — the privatized per-slot buckets included —
+/// is visible to the caller when the dispatch returns, which is the
+/// barrier the merge phases rely on.
+///
+/// One thread dispatches onto a given pool at a time (a pool's workers may
+/// dispatch onto *other* pools). Concurrent dispatches onto one pool are
+/// not supported; the serving daemon funnels its pool through one flusher.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -38,6 +63,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size() + 1; }  // + caller thread
+
+  /// How long a worker spins on the dispatch epoch after a task before it
+  /// parks. Covers the serial gaps between back-to-back loops of a BFS
+  /// level, so back-to-back dispatches rarely pay a futex wake-up.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
 
   /// Upper bound on data shards per pool (per-shard claim cursors are a
   /// fixed array in the task frame). Matches obs::kShardStatsMax.
@@ -135,12 +165,10 @@ class ThreadPool {
     void* ctx = nullptr;
     index_t n = 0;
     index_t chunk = 1;
-    // Work-stealing cursor and completion count: the pool IS the
-    // synchronization layer the atomic_* helpers sit on top of, and these
-    // need fetch_add/acq_rel orderings the helpers deliberately don't
-    // expose. lint:allow(raw-atomic)
+    // Work-stealing cursor: the pool IS the synchronization layer the
+    // atomic_* helpers sit on top of, and it needs fetch_add, which the
+    // helpers deliberately don't expose. lint:allow(raw-atomic)
     std::atomic<index_t> next{0};
-    std::atomic<int> remaining{0};  // lint:allow(raw-atomic)
     // Sharded dispatch state: per-shard claim cursors over the ranges in
     // shard_bounds, plus the dispatching pool's slot->home-shard map.
     int nshards = 1;
@@ -150,19 +178,28 @@ class ThreadPool {
   };
 
   void run_task(Task& task);
+  void close_and_wait();
   void worker_loop();
+  std::uint64_t await_epoch(std::uint64_t seen);
   static void drain(Task& task);
   static void drain_sharded(Task& task);
 
   int nshards_ = 1;
   std::vector<int> slot_shard_;  // home shard per pool slot (size() entries)
-  std::vector<std::thread> workers_;
+
+  // Dispatch state (see the class comment). The caller writes current_ and
+  // epoch_; workers spin on them, so they share a line apart from the
+  // in-flight count that joiners hammer. lint:allow(raw-atomic)
+  alignas(64) std::atomic<Task*> current_{nullptr};
+  std::atomic<std::uint64_t> epoch_{0};  // lint:allow(raw-atomic)
+  std::atomic<int> sleepers_{0};  // parked workers lint:allow(raw-atomic)
+  std::atomic<bool> stop_{false};  // lint:allow(raw-atomic)
+  alignas(64) std::atomic<int> inflight_{0};  // lint:allow(raw-atomic)
+  // Park/wake handshake only: a parked worker re-reads epoch_ and stop_
+  // under it, and whoever changes them takes it before notifying.
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  Task* current_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: its threads use the above
 };
 
 }  // namespace tilespmspv

@@ -44,6 +44,18 @@ TEST(ObsCounters, MergesAcrossPoolWorkers) {
   EXPECT_GE(d[Counter::kPoolLoops], 1u);
 }
 
+TEST(ObsCounters, PoolWakesCountOnlyPublishedDispatches) {
+  ThreadPool pool(4);
+  const CounterSnapshot before = obs::counters_snapshot();
+  pool.parallel_ranges(8, /*chunk=*/8, [](index_t, index_t) {});  // serial
+  pool.parallel_ranges(64, /*chunk=*/4, [](index_t, index_t) {});
+  pool.parallel_ranges(64, /*chunk=*/4, [](index_t, index_t) {});
+  const CounterSnapshot d = obs::counters_snapshot() - before;
+  EXPECT_EQ(d[Counter::kPoolLoops], 3u);
+  EXPECT_EQ(d[Counter::kPoolWakes], 2u);
+  EXPECT_EQ(d[Counter::kPoolChunks], 2u * 16u);  // the serial path claims none
+}
+
 TEST(ObsCounters, MergesAcrossRawThreads) {
   const CounterSnapshot before = obs::counters_snapshot();
   constexpr int kThreads = 8;

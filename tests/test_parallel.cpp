@@ -1,10 +1,15 @@
 // Tests for the thread-pool substrate: loop coverage, reductions, atomic
 // helpers, and reuse across many dispatches (the BFS loop dispatches the
 // pool once per kernel per level, so epoch handling must be airtight).
+// The dispatch-protocol tests run under TSan in CI, which is what checks
+// the barrier's ordering claims.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/atomics.hpp"
@@ -60,6 +65,118 @@ TEST_P(ThreadPoolSizes, ManySequentialDispatches) {
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ThreadPoolSizes,
                          ::testing::Values(1, 2, 4, 8));
+
+// Sleeping this long guarantees the workers exhausted their spin budget
+// and parked (barring a host so loaded that they never got to run).
+constexpr auto kPastSpinBudget = ThreadPool::kSpinBudget * 20;
+
+class DispatchProtocol : public ::testing::TestWithParam<int> {};
+
+TEST_P(DispatchProtocol, BackToBackTinyDispatchesRunEachIndexOnce) {
+  // Tiny loops back to back keep the workers spinning, so each dispatch
+  // races the previous close against late joiners. Plain increments: an
+  // index run twice, or run by a worker after the caller returned, shows
+  // up as a wrong count (and as a race under TSan), and reading them on
+  // the caller checks that the barrier publishes non-atomic body writes.
+  ThreadPool pool(GetParam());
+  constexpr index_t kN = 16;
+  constexpr int kDispatches = 200000;
+  std::vector<int> runs(kN, 0);
+  for (int d = 0; d < kDispatches; ++d) {
+    pool.parallel_ranges(kN, /*chunk=*/2, [&](index_t b, index_t e) {
+      for (index_t i = b; i < e; ++i) ++runs[i];
+    });
+    for (index_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(runs[i], d + 1) << "dispatch " << d << " index " << i;
+    }
+  }
+}
+
+TEST_P(DispatchProtocol, DispatchAfterWorkersParkWakesThemAndCoversAll) {
+  // The caller drains alone when no worker wakes, so coverage cannot show
+  // a lost wake-up. The caller's chunks therefore also wait until some
+  // worker has run a chunk, with a timeout far above any wake latency.
+  ThreadPool pool(GetParam());
+  constexpr index_t kN = 4096;
+  std::vector<int> hits(kN, 0);
+  for (int round = 1; round <= 5; ++round) {
+    std::this_thread::sleep_for(kPastSpinBudget);
+    std::atomic<bool> worker_ran{false};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    pool.parallel_ranges(kN, /*chunk=*/16, [&](index_t b, index_t e) {
+      if (ThreadPool::current_slot() != 0) {
+        worker_ran.store(true);
+      } else {
+        while (!worker_ran.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
+      for (index_t i = b; i < e; ++i) ++hits[i];
+    });
+    EXPECT_TRUE(worker_ran.load()) << "round " << round;
+    for (index_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i], round) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST_P(DispatchProtocol, DestroyWhileWorkersSpin) {
+  for (int rep = 0; rep < 50; ++rep) {
+    std::atomic<int> count{0};
+    {
+      ThreadPool pool(GetParam());
+      parallel_for(256, [&](index_t) { count.fetch_add(1); }, &pool, 4);
+    }  // workers are still inside their spin budget here
+    ASSERT_EQ(count.load(), 256);
+  }
+}
+
+TEST_P(DispatchProtocol, DestroyWhileWorkersParked) {
+  for (int rep = 0; rep < 5; ++rep) {
+    std::atomic<int> count{0};
+    {
+      ThreadPool pool(GetParam());
+      parallel_for(256, [&](index_t) { count.fetch_add(1); }, &pool, 4);
+      std::this_thread::sleep_for(kPastSpinBudget);
+    }
+    ASSERT_EQ(count.load(), 256);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, DispatchProtocol,
+                         ::testing::Values(2, 4, 8));
+
+TEST(ThreadPool, CallerExceptionWaitsForJoinedWorkers) {
+  // The task lives in the caller's frame, so a body that throws on the
+  // caller must not unwind it while workers still drain the loop. Workers
+  // hold each chunk until the caller has thrown, so joined workers are
+  // mid-loop when it unwinds; with more chunks than workers the caller
+  // always claims one. Afterwards the pool must still work.
+  ThreadPool pool(4);
+  constexpr index_t kN = 256;
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(pool.parallel_ranges(kN, /*chunk=*/1,
+                                      [&](index_t b, index_t) {
+                                        if (ThreadPool::current_slot() == 0) {
+                                          thrown.store(true);
+                                          throw std::runtime_error("body");
+                                        }
+                                        while (!thrown.load()) {
+                                          std::this_thread::yield();
+                                        }
+                                        hits[b].fetch_add(1);
+                                      }),
+                 std::runtime_error);
+    for (index_t i = 0; i < kN; ++i) ASSERT_LE(hits[i].load(), 1);
+  }
+  std::atomic<int> count{0};
+  parallel_for(kN, [&](index_t) { count.fetch_add(1); }, &pool, 8);
+  EXPECT_EQ(count.load(), kN);
+}
 
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   ThreadPool pool(4);
