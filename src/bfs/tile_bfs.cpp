@@ -12,7 +12,6 @@
 #include "obs/shard_stats.hpp"
 #include "obs/trace.hpp"
 #include "parallel/arena.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/bit_tile_graph.hpp"
 #include "tile/bit_vector.hpp"
@@ -42,23 +41,33 @@ namespace {
 //
 // Invariants between runs (and between levels, where noted):
 //   - x and y are all-zero (restored sparsely through the slot lists);
-//   - slot_flag is all-zero (cleared while merging produced slots);
+//   - every per-slot output array is all-zero (cleared while merging);
 //   - the produced buckets are empty;
 // only the visited mask m is dense state, cleared once per run.
 // ---------------------------------------------------------------------
 template <int NT>
 struct BfsScratch {
+  using Word = bitword_t<NT>;
   BitVector<NT> x;  // current frontier
   BitVector<NT> m;  // visited mask (includes the frontier)
   BitVector<NT> y;  // next frontier
   std::vector<index_t> slots;       // non-empty word slots of x
   std::vector<index_t> next_slots;  // non-empty word slots of y
-  // Output-word registration: slot_flag[s] is set the first time a kernel
-  // produces bits in y.words[s]; the producing task appends s to its pool
-  // slot's bucket, so the merged buckets list every produced word exactly
-  // once without any re-scan of y.
-  std::vector<std::uint8_t> slot_flag;
-  std::vector<std::vector<index_t>> produced;  // one bucket per pool slot
+  // Privatized output: during a level every kernel ORs plainly into its
+  // pool slot's own copy of y's words, and appends a word index to the
+  // slot's bucket when that copy turns nonzero. The caller then merges
+  // the buckets into y serially, so no level loop needs an atomic. Costs
+  // ceil(n/NT) words per pool slot. Cache-line aligned so one slot's
+  // bucket pushes do not contend with another's.
+  struct alignas(64) SlotOutput {
+    std::vector<Word> words;
+    std::vector<index_t> produced;
+    void add(index_t s, Word bits) {
+      if (words[s] == 0) produced.push_back(s);
+      words[s] |= bits;
+    }
+  };
+  std::vector<SlotOutput> outs;  // one per pool slot
   // Reused weighted-chunk boundaries (Push-CSC frontier slots, side pass).
   std::vector<index_t> k1_bounds;
   std::vector<index_t> side_bounds;
@@ -75,11 +84,19 @@ struct BfsScratch {
       x = BitVector<NT>(n);
       m = BitVector<NT>(n);
       y = BitVector<NT>(n);
-      slot_flag.assign(x.words.size(), 0);
       slots.clear();
       next_slots.clear();
     }
-    if (produced.size() < pool_slots) produced.resize(pool_slots);
+    if (outs.size() < pool_slots) outs.resize(pool_slots);
+    for (SlotOutput& o : outs) {
+      if (o.words.size() != x.words.size()) {
+        o.words.assign(x.words.size(), Word{0});
+      }
+    }
+  }
+
+  SlotOutput& slot_output() {
+    return outs[static_cast<std::size_t>(ThreadPool::scratch_slot())];
   }
 };
 
@@ -94,8 +111,9 @@ inline constexpr int kHitsKernelThreshold = NT / 8;
 // K1: Push-CSC (paper Alg. 5). Vector-driven: every non-empty frontier
 // word walks its tile column in the CSC form; the OR of the column masks
 // of its set bits is the contribution to the output tile row, masked by
-// the visited vector and merged with an atomic OR (several frontier tiles
-// can hit the same output tile row). Frontier slots are cut into chunks
+// the visited vector and ORed into the pool slot's private output words
+// (several frontier tiles can hit the same output tile row; the caller
+// merges the slots after the level). Frontier slots are cut into chunks
 // of roughly equal column weight (conversion-time csc_col_weight), so one
 // hub column cannot serialize the level.
 // ---------------------------------------------------------------------
@@ -114,8 +132,7 @@ void kernel_push_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
   parallel_for(
       static_cast<index_t>(ws.k1_bounds.size()) - 1,
       [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
+        auto& out = ws.slot_output();
         std::uint64_t tiles_visited = 0;
         for (index_t si = ws.k1_bounds[c]; si < ws.k1_bounds[c + 1]; ++si) {
           const index_t s = slots[si];
@@ -145,12 +162,7 @@ void kernel_push_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
             }
             const Word sum =
                 contrib & static_cast<Word>(~ws.m.words[blk_y_rowid]);
-            if (sum != 0) {
-              atomic_or(&ws.y.words[blk_y_rowid], sum);
-              if (!atomic_test_and_set(&ws.slot_flag[blk_y_rowid])) {
-                out_slots.push_back(blk_y_rowid);
-              }
-            }
+            if (sum != 0) out.add(blk_y_rowid, sum);
           }
         }
         obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
@@ -234,14 +246,13 @@ void kernel_push_csr(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
   dispatch_csr_chunks(
       g, ws, bounds, pool,
       [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
+        auto& out = ws.slot_output();
         std::uint64_t tiles_visited = 0;
         for (index_t tr = bounds[c]; tr < bounds[c + 1]; ++tr) {
           const Word unvisited =
               static_cast<Word>(~ws.m.words[tr]) & ws.m.valid_mask(tr);
           if (unvisited == 0) continue;  // whole tile row already done
-          Word out = 0;
+          Word hits = 0;
           for (offset_t t = g.csr_tile_ptr[tr]; t < g.csr_tile_ptr[tr + 1];
                ++t) {
             const Word xw = ws.x.words[g.csr_tile_col[t]];
@@ -249,27 +260,21 @@ void kernel_push_csr(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
             // Restrict to rows that are unvisited, not already found, and
             // actually present in this tile (summary word).
             const Word remaining =
-                unvisited & static_cast<Word>(~out) & g.csr_row_summary[t];
+                unvisited & static_cast<Word>(~hits) & g.csr_row_summary[t];
             if (remaining == 0) continue;
             ++tiles_visited;
             const Word* row_masks =
                 &g.csr_masks[static_cast<std::size_t>(t) * NT];
             if (popcount(remaining) >= kHitsKernelThreshold<NT>) {
-              out |= static_cast<Word>(bitk::and_broadcast_hits(row_masks, xw) &
-                                       remaining);
+              hits |= static_cast<Word>(
+                  bitk::and_broadcast_hits(row_masks, xw) & remaining);
             } else {
               for_each_set_bit(remaining, [&](int lr) {
-                if (row_masks[lr] & xw) out |= msb_bit<Word>(lr);
+                if (row_masks[lr] & xw) hits |= msb_bit<Word>(lr);
               });
             }
           }
-          if (out != 0) {
-            ws.y.words[tr] |= out;
-            // Tile row tr is owned by this task and the side pass has not
-            // started: a plain flag write registers the produced word.
-            ws.slot_flag[tr] = 1;
-            out_slots.push_back(tr);
-          }
+          if (hits != 0) out.add(tr, hits);
         }
         obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
         obs::shard_add_tiles(ThreadPool::current_shard(), tiles_visited);
@@ -292,14 +297,13 @@ void kernel_pull_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
   dispatch_csr_chunks(
       g, ws, bounds, pool,
       [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
+        auto& out = ws.slot_output();
         std::uint64_t tiles_visited = 0;
         for (index_t tr = bounds[c]; tr < bounds[c + 1]; ++tr) {
           Word remaining =
               static_cast<Word>(~ws.m.words[tr]) & ws.m.valid_mask(tr);
           if (remaining == 0) continue;
-          Word out = 0;
+          Word hits = 0;
           for (offset_t t = g.csr_tile_ptr[tr];
                t < g.csr_tile_ptr[tr + 1] && remaining != 0; ++t) {
             const Word mw = ws.m.words[g.csr_tile_col[t]];
@@ -318,14 +322,10 @@ void kernel_pull_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
                 if (row_masks[lu] & mw) found |= msb_bit<Word>(lu);
               });
             }
-            out |= found;
+            hits |= found;
             remaining &= static_cast<Word>(~found);  // early exit per vertex
           }
-          if (out != 0) {
-            ws.y.words[tr] |= out;
-            ws.slot_flag[tr] = 1;
-            out_slots.push_back(tr);
-          }
+          if (hits != 0) out.add(tr, hits);
         }
         obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
         obs::shard_add_tiles(ThreadPool::current_shard(), tiles_visited);
@@ -355,8 +355,7 @@ void side_edges_pass(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
   parallel_for(
       static_cast<index_t>(ws.side_bounds.size()) - 1,
       [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
+        auto& out = ws.slot_output();
         std::uint64_t relaxed = 0;
         for (index_t si = ws.side_bounds[c]; si < ws.side_bounds[c + 1];
              ++si) {
@@ -368,13 +367,7 @@ void side_edges_pass(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
                 static_cast<std::uint64_t>(g.side_ptr[u + 1] - g.side_ptr[u]);
             for (offset_t k = g.side_ptr[u]; k < g.side_ptr[u + 1]; ++k) {
               const index_t dst = g.side_dst[k];
-              if (!ws.m.test(dst)) {
-                const index_t ds = dst / NT;
-                atomic_or(&ws.y.words[ds], msb_bit<Word>(dst % NT));
-                if (!atomic_test_and_set(&ws.slot_flag[ds])) {
-                  out_slots.push_back(ds);
-                }
-              }
+              if (!ws.m.test(dst)) out.add(dst / NT, msb_bit<Word>(dst % NT));
             }
           });
         }
@@ -456,32 +449,25 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
     }
     side_edges_pass(g, ws, pool);
 
-    // Merge the produced-slot buckets into the next slot list and clear
-    // the registration flags. For dense levels a SIMD scan of y rebuilds
-    // the list in slot order instead (better locality downstream and
-    // cheaper than touching many scattered bucket entries twice).
+    // Merge the per-slot outputs into y, serially and in slot order; a
+    // word joins the next slot list the first time it turns nonzero in y.
+    // For dense levels a SIMD scan of y then rebuilds the list in slot
+    // order (better locality downstream than scattered bucket order).
     ws.next_slots.clear();
-    std::size_t produced_total = 0;
-    for (const std::vector<index_t>& bucket : ws.produced) {
-      produced_total += bucket.size();
+    for (auto& o : ws.outs) {
+      for (index_t s : o.produced) {
+        if (ws.y.words[s] == 0) ws.next_slots.push_back(s);
+        ws.y.words[s] |= o.words[s];
+        o.words[s] = 0;
+      }
+      o.produced.clear();
     }
-    if (produced_total >= static_cast<std::size_t>(ws.y.num_words()) / 8) {
+    if (ws.next_slots.size() >=
+        static_cast<std::size_t>(ws.y.num_words()) / 8) {
       ws.next_slots.resize(static_cast<std::size_t>(ws.y.num_words()));
       const index_t k = bitk::collect_nonzero(
           ws.y.words.data(), ws.y.num_words(), 0, ws.next_slots.data());
       ws.next_slots.resize(static_cast<std::size_t>(k));
-      for (std::vector<index_t>& bucket : ws.produced) {
-        for (index_t s : bucket) ws.slot_flag[s] = 0;
-        bucket.clear();
-      }
-    } else {
-      for (std::vector<index_t>& bucket : ws.produced) {
-        for (index_t s : bucket) {
-          ws.slot_flag[s] = 0;
-          ws.next_slots.push_back(s);
-        }
-        bucket.clear();
-      }
     }
     const auto produced_words = static_cast<index_t>(ws.next_slots.size());
     obs::counter_add(obs::Counter::kBfsProducedWords,
@@ -489,8 +475,9 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
 
     // Incremental level tally: assign levels and fold the new frontier
     // into the visited mask over the produced words only — no re-scan of
-    // the full vectors. Slots are unique (flag-deduplicated), so chunks
-    // touch disjoint words and the only shared state is the reduction sum.
+    // the full vectors. Slots are unique (deduplicated by the merge), so
+    // chunks touch disjoint words and the only shared state is the
+    // reduction sum.
     const index_t discovered = parallel_reduce<index_t>(
         produced_words, index_t{0},
         [&](index_t i) {
@@ -526,7 +513,7 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
   }
 
   // Restore the workspace invariants for the next run: x goes back to
-  // all-zero via its slot list (y and slot_flag already are).
+  // all-zero via its slot list (y and the per-slot arrays already are).
   for (index_t s : ws.slots) ws.x.words[s] = 0;
   ws.slots.clear();
   ws.next_slots.clear();

@@ -1,12 +1,12 @@
 // Atomic helpers mirroring the CUDA primitives the paper's kernels use:
-// atomicOr on bitmask words and atomicAdd on accumulator values. The BFS
-// kernels only need monotone idempotent OR, so relaxed ordering suffices
+// atomicOr on bitmask words and atomicAdd on accumulator values. The OR
+// users (multi-source BFS frontiers, SpMSpV/SpMSpM row flags) only need
+// monotone idempotent OR, so relaxed ordering suffices
 // (every kernel launch is separated by a pool barrier, which publishes all
 // writes before the next phase reads them).
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <type_traits>
 
 namespace tilespmspv {
@@ -31,14 +31,6 @@ inline void atomic_add(T* target, T delta) {
   while (!a->compare_exchange_weak(cur, cur + delta,
                                    std::memory_order_relaxed)) {
   }
-}
-
-/// Atomic test-and-set of a byte flag; returns the previous value. The BFS
-/// output-slot registration uses this to let many tasks discover the same
-/// produced word while exactly one of them appends it to a slot list.
-inline bool atomic_test_and_set(std::uint8_t* flag) {
-  return reinterpret_cast<std::atomic<std::uint8_t>*>(flag)->exchange(
-             1, std::memory_order_relaxed) != 0;
 }
 
 /// Relaxed atomic load of a plain word (pairs with atomic_or above).

@@ -81,28 +81,37 @@ TEST(BfsFuzz, ForcedTileSizeRejectsInvalidValues) {
   }
 }
 
-// One workspace reused across graphs of different sizes, tile widths and
-// sources must behave exactly like a fresh workspace per query: the
-// end-of-run invariant (all scratch bit vectors zeroed, slot lists
-// cleared) is what steady-state reuse relies on.
+// One workspace reused across graphs of different sizes, tile widths,
+// kernels, sources and pools must behave exactly like a fresh workspace
+// per query: the end-of-run invariant (all scratch bit vectors and
+// per-pool-slot output arrays zeroed, slot lists cleared) is what
+// steady-state reuse relies on. The pools run 1, then 8, then 2 threads,
+// so the per-slot arrays are grown, re-sized for a new n, and left
+// partly unused; a missing, mis-sized or dirty slot array shows up as a
+// wrong level or a repeat run that differs from the first.
 TEST(BfsFuzz, WorkspaceReuseMatchesOneShotRuns) {
   Prng meta_rng(0x5EED);
-  ThreadPool pool(4);
+  ThreadPool p1(1), p8(8), p2(2);
   BfsWorkspace ws;
-  for (int round = 0; round < 8; ++round) {
-    const GraphDraw g = random_graph(meta_rng);
-    TileBfsConfig cfg;
-    cfg.forced_tile_size = std::vector<int>{16, 32, 64}[round % 3];
-    TileBfs bfs(g.adjacency, cfg, &pool);
-    for (int q = 0; q < 3; ++q) {
-      const auto src = static_cast<index_t>(meta_rng.next_below(
-          static_cast<std::uint64_t>(g.adjacency.rows)));
-      SCOPED_TRACE("round " + std::to_string(round) + " q=" +
-                   std::to_string(q) + " src=" + std::to_string(src));
-      const BfsResult reused = bfs.run(src, ws);
-      const BfsResult fresh = bfs.run(src);
-      ASSERT_EQ(reused.levels, fresh.levels);
-      ASSERT_EQ(reused.levels, serial_bfs(g.out_edges, src));
+  for (ThreadPool* pool : {&p1, &p8, &p2}) {
+    for (int nt : {16, 32, 64}) {
+      const GraphDraw g = random_graph(meta_rng);
+      for (unsigned mask : {7u, 1u, 2u, 4u}) {
+        TileBfsConfig cfg;
+        cfg.forced_tile_size = nt;
+        cfg.kernel_mask = mask;
+        TileBfs bfs(g.adjacency, cfg, pool);
+        const auto src = static_cast<index_t>(meta_rng.next_below(
+            static_cast<std::uint64_t>(g.adjacency.rows)));
+        SCOPED_TRACE("pool " + std::to_string(pool->size()) + " nt=" +
+                     std::to_string(nt) + " n=" +
+                     std::to_string(g.adjacency.rows) + " mask=" +
+                     std::to_string(mask) + " src=" + std::to_string(src));
+        const BfsResult reused = bfs.run(src, ws);
+        ASSERT_EQ(reused.levels, serial_bfs(g.out_edges, src));
+        ASSERT_EQ(bfs.run(src, ws).levels, reused.levels);
+        ASSERT_EQ(bfs.run(src).levels, reused.levels);
+      }
     }
   }
 }

@@ -2,9 +2,9 @@
 // TileBFS runs on an 8-thread pool, checked against the serial reference.
 // The interesting assertions live in the scheduler, not here — this
 // binary is built and run under ThreadSanitizer by CI to prove that the
-// per-chunk produced/visited tallies, the produced-slot registration
-// (atomic test-and-set vs owned plain writes) and the visited-mask merge
-// are race-free across the phase barriers.
+// per-chunk produced/visited tallies, the per-pool-slot output words and
+// their caller-side merge, and the visited-mask merge are race-free
+// across the phase barriers.
 #include <gtest/gtest.h>
 
 #include "baselines/serial_bfs.hpp"
@@ -32,7 +32,7 @@ TEST(BfsTally, ChunkedTalliesRaceFreeUnderContention) {
   std::vector<Case> cases;
   // Dense-tiled: push-CSR dominates, owned tile-row writes.
   cases.push_back({undirected(3000, 0.004, 41), 0});
-  // Hub-heavy: push-CSC with atomic OR and slot registration contention.
+  // Hub-heavy: push-CSC, many tasks producing the same output words.
   {
     RmatParams p;
     p.scale = 11;
