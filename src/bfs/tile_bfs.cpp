@@ -1,7 +1,6 @@
 #include "bfs/tile_bfs.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -68,6 +67,8 @@ struct BfsScratch {
     }
   };
   std::vector<SlotOutput> outs;  // one per pool slot
+  // Frontier slots that can relax an extracted edge (side pass).
+  std::vector<index_t> side_slots;
   // Reused weighted-chunk boundaries (Push-CSC frontier slots, side pass).
   std::vector<index_t> k1_bounds;
   std::vector<index_t> side_bounds;
@@ -335,16 +336,26 @@ void kernel_pull_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
 // ---------------------------------------------------------------------
 // Side pass for the extracted very-sparse part: frontier-driven expansion
 // over the source-indexed edge list, merged into the same output vector.
-// Walks the frontier slot list (not every x word) and chunks it by side
-// degree, so both the scan and the schedule cost are proportional to the
-// frontier's extracted out-edges rather than to the whole vector.
+// The side summary gates the frontier slot list first: only words whose
+// frontier bits include a vertex with extracted out-edges are chunked (by
+// side degree) and expanded, and a level with none runs no loop at all.
+// Scan, schedule and dispatch cost thus follow the frontier's extracted
+// out-edges rather than the frontier or the whole vector.
 // ---------------------------------------------------------------------
 template <int NT>
 void side_edges_pass(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
                      ThreadPool* pool) {
   using Word = bitword_t<NT>;
   if (g.side_dst.empty()) return;
-  const std::vector<index_t>& slots = ws.slots;
+  auto gated = [&](index_t s) {
+    return static_cast<Word>(ws.x.words[s] & g.side_summary[s]);
+  };
+  std::vector<index_t>& slots = ws.side_slots;
+  slots.clear();
+  for (index_t s : ws.slots) {
+    if (gated(s) != 0) slots.push_back(s);
+  }
+  if (slots.empty()) return;
   build_weighted_chunks_into(
       ws.side_bounds, static_cast<index_t>(slots.size()), kChunkTargetWork,
       [&](index_t i) {
@@ -360,8 +371,7 @@ void side_edges_pass(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
         for (index_t si = ws.side_bounds[c]; si < ws.side_bounds[c + 1];
              ++si) {
           const index_t s = slots[si];
-          const Word xw = ws.x.words[s];
-          for_each_set_bit(xw, [&](int b) {
+          for_each_set_bit(gated(s), [&](int b) {
             const index_t u = s * NT + b;
             relaxed +=
                 static_cast<std::uint64_t>(g.side_ptr[u + 1] - g.side_ptr[u]);
@@ -406,7 +416,10 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
                   const TileBfsConfig& cfg, ThreadPool* pool,
                   BfsScratch<NT>& ws) {
   using Word = bitword_t<NT>;
-  assert(source >= 0 && source < g.n);
+  if (source < 0 || source >= g.n) {
+    throw std::out_of_range("TileBfs::run: source " + std::to_string(source) +
+                            " outside [0, " + std::to_string(g.n) + ")");
+  }
   Timer total;
   BfsResult result;
   result.levels.assign(g.n, -1);
@@ -451,8 +464,6 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
 
     // Merge the per-slot outputs into y, serially and in slot order; a
     // word joins the next slot list the first time it turns nonzero in y.
-    // For dense levels a SIMD scan of y then rebuilds the list in slot
-    // order (better locality downstream than scattered bucket order).
     ws.next_slots.clear();
     for (auto& o : ws.outs) {
       for (index_t s : o.produced) {
@@ -462,33 +473,37 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
       }
       o.produced.clear();
     }
+
+    // Incremental level tally: assign levels and fold the new frontier
+    // into the visited mask over the produced words only — no re-scan of
+    // the full vectors. Slots are unique (deduplicated by the merge).
+    auto tally = [&](index_t s) {
+      const Word w = ws.y.words[s];
+      for_each_set_bit(w, [&](int b) { result.levels[s * NT + b] = level; });
+      ws.m.words[s] |= w;
+      return static_cast<index_t>(popcount(w));
+    };
+    index_t discovered = 0;
     if (ws.next_slots.size() >=
         static_cast<std::size_t>(ws.y.num_words()) / 8) {
+      // Dense level: a SIMD scan of y rebuilds the list in slot order
+      // (better locality downstream than scattered bucket order), and the
+      // tally runs on the pool. Chunks touch disjoint words; the only
+      // shared state is the reduction sum.
       ws.next_slots.resize(static_cast<std::size_t>(ws.y.num_words()));
       const index_t k = bitk::collect_nonzero(
           ws.y.words.data(), ws.y.num_words(), 0, ws.next_slots.data());
       ws.next_slots.resize(static_cast<std::size_t>(k));
+      discovered = parallel_reduce<index_t>(
+          k, index_t{0}, [&](index_t i) { return tally(ws.next_slots[i]); },
+          [](index_t a, index_t b) { return a + b; }, pool, /*chunk=*/64);
+    } else {
+      // Sparse level: the caller tallies the few produced words itself;
+      // a pool loop would cost more than the work.
+      for (index_t s : ws.next_slots) discovered += tally(s);
     }
-    const auto produced_words = static_cast<index_t>(ws.next_slots.size());
     obs::counter_add(obs::Counter::kBfsProducedWords,
-                     static_cast<std::uint64_t>(produced_words));
-
-    // Incremental level tally: assign levels and fold the new frontier
-    // into the visited mask over the produced words only — no re-scan of
-    // the full vectors. Slots are unique (deduplicated by the merge), so
-    // chunks touch disjoint words and the only shared state is the
-    // reduction sum.
-    const index_t discovered = parallel_reduce<index_t>(
-        produced_words, index_t{0},
-        [&](index_t i) {
-          const index_t s = ws.next_slots[i];
-          const Word w = ws.y.words[s];
-          for_each_set_bit(w,
-                           [&](int b) { result.levels[s * NT + b] = level; });
-          ws.m.words[s] |= w;
-          return static_cast<index_t>(popcount(w));
-        },
-        [](index_t a, index_t b) { return a + b; }, pool, /*chunk=*/64);
+                     static_cast<std::uint64_t>(ws.next_slots.size()));
 
     if (cfg.record_iterations) {
       BfsIterationLog log{level,

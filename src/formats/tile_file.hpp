@@ -340,6 +340,9 @@ BitTileGraph<NT> map_bit_tile_graph_file(const std::string& path,
       g.csc_col_weight.size() != static_cast<std::size_t>(g.tile_n)) {
     throw std::runtime_error("tile_file: graph section lengths inconsistent");
   }
+  // Derived, not stored: the side summary comes from side_ptr, whose
+  // length the gate above just checked.
+  g.build_side_summary();
   if (deep_validate) {
     require_valid(validate_bit_tile_graph(g), "map_bit_tile_graph_file");
   }

@@ -823,7 +823,8 @@ ValidationResult validate_packed_tile_matrix(const PM& m) {
 /// set bit may fall outside [0, n) in either dimension), occupancy
 /// summaries recomputed, mirror indices (shared-mask mode) or transposed
 /// masks (materialized mode) verified against the CSR form, side edge
-/// list bounds, and the total edge count tied back to mask popcounts.
+/// list bounds, the side summary (when present) recomputed from side_ptr,
+/// and the total edge count tied back to mask popcounts.
 template <typename G>
 ValidationResult validate_bit_tile_graph(const G& g) {
   using std::to_string;
@@ -1081,6 +1082,29 @@ ValidationResult validate_bit_tile_graph(const G& g) {
     return r;
   }
   if (!detail::check_index_range(r, g.side_dst, g.n, "side_dst")) return r;
+  if (!g.side_summary.empty()) {
+    if (g.side_summary.size() != static_cast<std::size_t>(g.tile_n)) {
+      r.add("side_summary/length",
+            "expected " + to_string(g.tile_n) + " summary words, got " +
+                to_string(g.side_summary.size()));
+      return r;
+    }
+    for (index_t s = 0; s < g.tile_n; ++s) {
+      Word expect_summary{0};
+      for (index_t b = 0; b < NT && s * NT + b < g.n; ++b) {
+        const index_t u = s * NT + b;
+        if (g.side_ptr[u + 1] > g.side_ptr[u]) {
+          expect_summary |= msb_bit<Word>(b);
+        }
+      }
+      if (g.side_summary[s] != expect_summary) {
+        r.add("side_summary/agreement",
+              "side summary word " + to_string(s) +
+                  " disagrees with side_ptr");
+        return r;
+      }
+    }
+  }
   const std::int64_t total =
       mask_edges + static_cast<std::int64_t>(g.side_dst.size());
   if (static_cast<std::int64_t>(g.edges) != total) {

@@ -104,8 +104,28 @@ struct BitTileGraph {
   ArrayBuf<offset_t> side_ptr;  // length n + 1
   ArrayBuf<index_t> side_dst;
 
+  // Side-edge summary: bit b of side_summary[s] is set iff vertex s*NT+b
+  // has an extracted out-edge. The BFS side pass ANDs each frontier word
+  // with it, so a level visits only the words that can relax an
+  // extracted edge. Derived data, never stored in a tile file: from_csr
+  // builds it and map_bit_tile_graph_file rebuilds it from side_ptr.
+  ArrayBuf<Word> side_summary;  // length tile_n
+
   offset_t side_edge_count() const {
     return static_cast<offset_t>(side_dst.size());
+  }
+
+  /// Rebuilds side_summary from side_ptr (length n + 1 required). Reads
+  /// only side_ptr[u+1] > side_ptr[u], so it is safe on unvalidated
+  /// mapped offsets.
+  void build_side_summary() {
+    const ArrayBuf<offset_t>& ptr = side_ptr;  // read surface: may be a view
+    side_summary.assign(static_cast<std::size_t>(tile_n), Word{0});
+    for (index_t u = 0; u < n; ++u) {
+      if (ptr[u + 1] > ptr[u]) {
+        side_summary[u / NT] |= msb_bit<Word>(u % NT);
+      }
+    }
   }
 
   // Work-weighted dispatch boundaries over tile rows for the matrix-driven
@@ -264,6 +284,7 @@ struct BitTileGraph {
     for (index_t v = 0; v < g.n; ++v) {
       g.side_ptr[v + 1] += g.side_ptr[v];
     }
+    g.build_side_summary();
     {
       std::vector<offset_t> cursor(g.side_ptr.begin(), g.side_ptr.end() - 1);
       for (const auto& extracted : range_extracted) {
@@ -297,8 +318,8 @@ struct BitTileGraph {
     return vb(csr_tile_ptr) + vb(csr_tile_col) + vb(csr_masks) +
            vb(csr_row_summary) + vb(csc_tile_ptr) + vb(csc_tile_row) +
            vb(csc_masks) + vb(csc_mirror) + vb(csc_col_summary) +
-           vb(side_ptr) + vb(side_dst) + vb(csr_chunk_ptr) +
-           vb(csc_col_weight);
+           vb(side_ptr) + vb(side_dst) + vb(side_summary) +
+           vb(csr_chunk_ptr) + vb(csc_col_weight);
   }
 
   /// Moves the heavy arrays into `arena` (see TileMatrix::place).
@@ -315,6 +336,7 @@ struct BitTileGraph {
     arena_place_buf(*arena, csc_col_summary, pool);
     arena_place_buf(*arena, side_ptr, pool);
     arena_place_buf(*arena, side_dst, pool);
+    arena_place_buf(*arena, side_summary, pool);
     arena_place_buf(*arena, csc_col_weight, pool);
     placed = arena->placement();
     storage = std::shared_ptr<const void>(arena, arena.get());

@@ -4,6 +4,8 @@
 // and pool sizes. Directed graphs exercise the CSR/CSC duality.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/dobfs.hpp"
 #include "baselines/enterprise_bfs.hpp"
 #include "baselines/gswitch_bfs.hpp"
@@ -236,6 +238,21 @@ TEST(TileBfs, RejectsEmptyKernelMask) {
   TileBfsConfig cfg;
   cfg.kernel_mask = 0;
   EXPECT_THROW(TileBfs(g, cfg), std::invalid_argument);
+}
+
+// A source outside [0, n) must throw before the run touches any state:
+// both overloads, and a workspace that saw the rejected calls still gives
+// correct levels afterwards.
+TEST(TileBfs, RejectsOutOfRangeSource) {
+  const Csr<value_t> a = undirected_graph(300, 0.02, 9);
+  const TileBfs bfs(a);
+  BfsWorkspace ws;
+  EXPECT_THROW(bfs.run(-1), std::out_of_range);
+  EXPECT_THROW(bfs.run(a.rows), std::out_of_range);
+  EXPECT_THROW(bfs.run(a.rows, ws), std::out_of_range);
+  EXPECT_THROW(bfs.run(-1, ws), std::out_of_range);
+  EXPECT_EQ(bfs.run(5, ws).levels, serial_bfs(a, 5));
+  EXPECT_EQ(bfs.run(a.rows - 1, ws).levels, serial_bfs(a, a.rows - 1));
 }
 
 TEST(TileBfs, VisitedCountMatchesReachableSet) {

@@ -7,13 +7,23 @@
 // hand-picked. Seeds are fixed, so failures replay exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/serial_bfs.hpp"
 #include "bfs/tile_bfs.hpp"
+#include "formats/tile_file.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/grid.hpp"
 #include "gen/rmat.hpp"
+#include "obs/counters.hpp"
+#include "tile/bit_tile_graph.hpp"
 #include "util/bitkernels.hpp"
 #include "util/prng.hpp"
 #include "util/simd.hpp"
@@ -138,6 +148,154 @@ TEST(BfsFuzz, RmatHubGraphsAcrossWidths) {
       TileBfs bfs(a, cfg, &pool);
       ASSERT_EQ(bfs.run(src, ws).levels, expect);
     }
+  }
+}
+
+// Road-like draw for the side-edge summary: a 30×30 grid (dense diagonal
+// tiles, kept) plus ~0.6 random long-range edges per vertex, which land in
+// sparse off-diagonal tiles and are extracted. Every frontier word thus
+// mixes vertices with and without extracted out-edges. Directed draws keep
+// the long-range edges one-way, so a side list indexed by destination
+// instead of source would disagree with the reference.
+GraphDraw grid_with_shortcuts(bool directed, std::uint64_t seed) {
+  Coo<value_t> coo = gen_grid2d(30, 30);
+  const index_t n = coo.rows;
+  Prng rng(seed);
+  for (index_t k = 0; k < n * 6 / 10; ++k) {
+    const auto src = static_cast<index_t>(rng.next_below(n));
+    const auto dst = static_cast<index_t>(rng.next_below(n));
+    if (src != dst) coo.push(dst, src, 1.0);  // A[dst][src]: edge src -> dst
+  }
+  if (directed) {
+    coo.sort_row_major();
+    coo.sum_duplicates();
+  } else {
+    coo.symmetrize();
+  }
+  Csr<value_t> a = Csr<value_t>::from_coo(coo);
+  Csr<value_t> out = directed ? a.transpose() : a;
+  return {std::move(a), std::move(out)};
+}
+
+/// Side-summary words derived from the adjacency alone: edge src -> dst
+/// (entry A[dst][src]) is extracted iff its NT×NT tile holds at most
+/// `extract` entries, and it sets bit src % NT of word src / NT.
+template <int NT>
+std::vector<bitword_t<NT>> expected_side_summary(const Csr<value_t>& a,
+                                                 index_t extract) {
+  std::map<std::pair<index_t, index_t>, index_t> tile_nnz;
+  for (index_t r = 0; r < a.rows; ++r) {
+    for (offset_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      ++tile_nnz[{r / NT, a.col_idx[i] / NT}];
+    }
+  }
+  std::vector<bitword_t<NT>> words(
+      static_cast<std::size_t>(ceil_div<index_t>(a.rows, NT)), 0);
+  for (index_t r = 0; r < a.rows; ++r) {
+    for (offset_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      const index_t c = a.col_idx[i];
+      if (tile_nnz[{r / NT, c / NT}] <= extract) {
+        words[c / NT] |= msb_bit<bitword_t<NT>>(c % NT);
+      }
+    }
+  }
+  return words;
+}
+
+/// bfs_side_edges of one traversal: the side out-degree of every vertex
+/// that was a frontier of an expanded level. A level expands the vertices
+/// at depth d while some vertex deeper than d is still unvisited.
+std::uint64_t expected_side_edges(const std::vector<offset_t>& side_deg,
+                                  const std::vector<index_t>& levels) {
+  index_t max_level = 0;
+  for (index_t l : levels) max_level = std::max(max_level, l);
+  std::vector<std::uint64_t> deg_at(static_cast<std::size_t>(max_level) + 1);
+  std::vector<index_t> count_at(deg_at.size());
+  for (std::size_t u = 0; u < levels.size(); ++u) {
+    if (levels[u] < 0) continue;
+    deg_at[levels[u]] += static_cast<std::uint64_t>(side_deg[u]);
+    ++count_at[levels[u]];
+  }
+  std::uint64_t total = 0;
+  index_t visited = 0;
+  for (index_t d = 0; d <= max_level; ++d) {
+    visited += count_at[d];
+    if (visited < static_cast<index_t>(levels.size())) total += deg_at[d];
+  }
+  return total;
+}
+
+template <int NT>
+void check_side_summary(const GraphDraw& draw, index_t extract) {
+  using Word = bitword_t<NT>;
+  const Csr<value_t>& a = draw.adjacency;
+  const auto g = BitTileGraph<NT>::from_csr(a, extract);
+  ASSERT_GT(g.side_edge_count(), 0);
+  const std::vector<Word> expect = expected_side_summary<NT>(a, extract);
+  ASSERT_EQ(g.side_summary.size(), expect.size());
+  bool mixed = false;
+  for (std::size_t s = 0; s < expect.size(); ++s) {
+    ASSERT_EQ(g.side_summary[s], expect[s]) << "word " << s;
+    Word valid = 0;  // bits of vertices inside [0, n)
+    for (index_t u = static_cast<index_t>(s) * NT;
+         u < std::min<index_t>(g.n, static_cast<index_t>(s + 1) * NT); ++u) {
+      valid |= msb_bit<Word>(u % NT);
+    }
+    mixed = mixed || (expect[s] != 0 && expect[s] != valid);
+  }
+  ASSERT_TRUE(mixed) << "draw must mix side and non-side vertices in a word";
+
+  // Derived data: the mapped graph rebuilds the same words from side_ptr.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("tilespmspv_bfs_fuzz_side_" + std::to_string(NT) + ".ttlf"))
+          .string();
+  write_bit_tile_graph_file<NT>(path, g);
+  struct Remove {
+    const std::string& p;
+    ~Remove() { std::remove(p.c_str()); }
+  } remove{path};
+  ASSERT_TRUE(map_bit_tile_graph_file<NT>(path).side_summary ==
+              g.side_summary);
+
+  std::vector<offset_t> side_deg(static_cast<std::size_t>(g.n));
+  for (index_t u = 0; u < g.n; ++u) {
+    side_deg[u] = g.side_ptr[u + 1] - g.side_ptr[u];
+  }
+  TileBfsConfig cfg;
+  cfg.forced_tile_size = NT;
+  cfg.extract_threshold = extract;
+  ThreadPool p1(1), p2(2), p8(8);
+  for (ThreadPool* pool : {&p1, &p2, &p8}) {
+    const TileBfs owned(a, cfg, pool);
+    const TileBfs mapped(path, cfg, pool);
+    ASSERT_EQ(owned.side_edge_count(), g.side_edge_count());
+    for (index_t src : {index_t{0}, a.rows / 2, a.rows - 1}) {
+      const std::vector<index_t> ref = serial_bfs(draw.out_edges, src);
+      for (const TileBfs* bfs : {&owned, &mapped}) {
+        SCOPED_TRACE("pool " + std::to_string(pool->size()) + " src=" +
+                     std::to_string(src) +
+                     (bfs == &owned ? " owned" : " mapped"));
+        const obs::CounterSnapshot before = obs::counters_snapshot();
+        ASSERT_EQ(bfs->run(src).levels, ref);
+        const obs::CounterSnapshot d = obs::counters_snapshot() - before;
+        if (obs::counters_enabled()) {
+          ASSERT_EQ(d[obs::Counter::kBfsSideEdges],
+                    expected_side_edges(side_deg, ref));
+        }
+      }
+    }
+  }
+}
+
+TEST(BfsFuzz, SideSummaryGatesTheSidePass) {
+  constexpr index_t kExtract = 8;  // keeps grid tiles, extracts shortcuts
+  for (bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    const GraphDraw draw = grid_with_shortcuts(directed, directed ? 71 : 72);
+    check_side_summary<16>(draw, kExtract);
+    check_side_summary<32>(draw, kExtract);
+    check_side_summary<64>(draw, kExtract);
   }
 }
 

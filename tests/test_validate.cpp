@@ -435,6 +435,18 @@ TEST(ValidateBitTileGraph, CatchesEdgeCountAndSideViolations) {
   bads = gs;
   bads.side_ptr[bads.n / 2] = bads.side_ptr.back() + 1;
   EXPECT_FALSE(validate_bit_tile_graph(bads).ok());
+
+  // The side summary is derived from side_ptr; optional, but checked
+  // word for word when present.
+  bads = gs;
+  bads.side_summary[0] = static_cast<decltype(gs)::Word>(~gs.side_summary[0]);
+  expect_issue(validate_bit_tile_graph(bads), "side_summary/agreement");
+  bads = gs;
+  bads.side_summary.resize(bads.side_summary.size() - 1);
+  expect_issue(validate_bit_tile_graph(bads), "side_summary/length");
+  bads = gs;
+  bads.side_summary.clear();
+  EXPECT_TRUE(validate_bit_tile_graph(bads).ok());
 }
 
 TEST(RequireValid, ThrowsRuntimeErrorWithInvariant) {
