@@ -15,7 +15,6 @@
 #include "apps/sssp.hpp"
 #include "apps/triangles.hpp"
 #include "bench_common.hpp"
-#include "bfs/tile_ms_bfs.hpp"
 #include "gen/vector_gen.hpp"
 #include "util/prng.hpp"
 
@@ -98,7 +97,7 @@ int main() {
     (void)ms_bfs(a, sources, &pool);
     const double t_plain = t1.elapsed_ms();
     Timer t2;
-    (void)tile_ms_bfs(a, sources, 2, &pool);
+    (void)ms_bfs_tiled(a, sources, SpmspvConfig{}, &pool);
     const double t_tiled = t2.elapsed_ms();
     table.add_row({"MS-BFS 64 sources (plain)", "FB", "64 level arrays",
                    fmt(t_plain, 2)});

@@ -8,7 +8,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/tile_spmspv_semiring.hpp"
+#include "core/spmspv.hpp"
 #include "formats/csr.hpp"
 #include "util/types.hpp"
 

@@ -10,6 +10,11 @@
 // denser vectors; the CSC form's work is proportional to the active
 // columns only, winning when x is very sparse. The crossover threshold
 // mirrors the 0.01 sparsity constant of the BFS selector.
+//
+// SemiringOperator is the same preprocessing for a GraphBLAS semiring
+// (core/semiring.hpp): it runs the CSC form with the semiring as its
+// policy, for SSSP (min-plus), reachability (or-and) and reliability
+// (max-times).
 #pragma once
 
 #include <utility>
@@ -154,6 +159,54 @@ class SpmspvOperator {
   TileMatrix<T> tiled_t_;  // Aᵀ, CSR-of-tiles == CSC-of-tiles view of A
   bool has_transpose_ = true;  // false on mapped files without a Aᵀ part
   SpmspvWorkspace<T> ws_;
+  ThreadPool* pool_;
+};
+
+/// y = A ⊗ x over semiring S, for repeated multiplies with one matrix:
+/// tiles Aᵀ once and runs the CSC form with S as its policy, on one
+/// hoisted workspace and one hoisted tiled input vector.
+template <typename S, typename T = typename S::value_type>
+class SemiringOperator {
+ public:
+  SemiringOperator(const Csr<T>& a, index_t nt = 16,
+                   index_t extract_threshold = 2, ThreadPool* pool = nullptr)
+      : nt_(nt),
+        tiled_t_(TileMatrix<T>::from_csr(a.transpose(), nt,
+                                         extract_threshold)),
+        pool_(pool) {}
+
+  /// The result holds every output whose value differs from S::zero().
+  SparseVec<T> multiply(const SparseVec<T>& x) {
+    tile_vector_for_semiring(x);
+    return tile_spmspv_csc<T, S>(tiled_t_, xt_, ws_, pool_);
+  }
+
+ private:
+  /// TileVector's empty slots read as T{}; for semirings whose identity is
+  /// not T{} (min-plus!) the padding inside non-empty tiles must be
+  /// S::zero() instead, so the tile is built here with explicit fill.
+  void tile_vector_for_semiring(const SparseVec<T>& x) {
+    xt_.n = x.n;
+    xt_.nt = nt_;
+    xt_.nnz = static_cast<index_t>(x.idx.size());
+    xt_.x_ptr.assign(ceil_div(x.n, nt_), kEmptyTile);
+    index_t slots = 0;
+    for (index_t i : x.idx) {
+      index_t& p = xt_.x_ptr[i / nt_];
+      if (p == kEmptyTile) p = slots++;
+    }
+    xt_.x_tile.assign(static_cast<std::size_t>(slots) * nt_, S::zero());
+    for (std::size_t k = 0; k < x.idx.size(); ++k) {
+      const index_t i = x.idx[k];
+      xt_.x_tile[static_cast<std::size_t>(xt_.x_ptr[i / nt_]) * nt_ +
+                 i % nt_] = x.vals[k];
+    }
+  }
+
+  index_t nt_;
+  TileMatrix<T> tiled_t_;
+  TileVector<T> xt_;
+  SpmspvWorkspace<T, S> ws_;
   ThreadPool* pool_;
 };
 

@@ -1,37 +1,49 @@
-// TileSpMSpV — the paper's numeric kernel (Algorithm 4).
+// TileSpMSpV — the paper's numeric kernel (Algorithm 4) in its two forms
+// (§3.2.3), each implemented once:
+//   - the matrix-driven CSR form, tile_spmspv; tile_spmspv_masked is the
+//     same pipeline with a GraphBLAS output mask applied by the gather;
+//   - the vector-driven CSC form, tile_spmspv_csc, generic over a
+//     Semiring policy (core/semiring.hpp), so SemiringOperator's min-plus,
+//     or-and and max-times multiplies run on it too.
 //
-// One work unit per *work-balanced chunk* of tile rows (boundaries computed
-// once at conversion, see tile/tile_chunks.hpp): every non-empty matrix tile
-// in a tile row looks up its column position in the tiled vector's x_ptr in
-// O(1); empty vector tiles are skipped without touching the tile payload.
-// Surviving tiles run a tile-local CSR × dense-tile product into an
-// NT-element register-like accumulator, with the gather+multiply half of the
-// product vectorized (util/simd.hpp). The very sparse part extracted into
-// COO at preprocessing time is processed by a separate edge-parallel pass
-// merged into the same output (paper §3.2.1 / §3.4 hybrid).
+// CSR form: one work unit per *work-balanced chunk* of tile rows
+// (boundaries computed once at conversion, see tile/tile_chunks.hpp):
+// every non-empty matrix tile in a tile row looks up its column position
+// in the tiled vector's x_ptr in O(1); empty vector tiles are skipped
+// without touching the tile payload. Surviving tiles run a tile-local CSR
+// × dense-tile product into an NT-element register-like accumulator, with
+// the gather+multiply half of the product vectorized (util/simd.hpp). The
+// very sparse part extracted into COO at preprocessing time is processed
+// by a separate pass merged into the same output (paper §3.2.1 / §3.4
+// hybrid).
 //
-// Execution-layer notes (this file implements all three scalar forms):
-//   - the CSC form scatters into per-slot privatized buckets instead of
-//     taking a CAS per value; buckets are merged during the gather, so the
-//     hot loop carries no value atomics at all;
+// Execution-layer notes:
+//   - every floating-point sum has one order, whatever the pool size,
+//     shard count or run. Work whose results can meet in one output is cut
+//     into at most kMaxRanges ranges of the active x-tile list, with
+//     boundaries derived from the matrix and x alone (detail::cut_ranges),
+//     and the ranges' partial results combine in range order: the CSR side
+//     pass appends (row, product) pairs to per-range lists the caller
+//     applies in order, and each CSC range scatters into its own bucket,
+//     summed in bucket order by the gather. No value atomics anywhere;
 //   - phase 3 (gather) runs as a parallel range-concatenation: disjoint
 //     tile ranges assemble privately sized from the flagged-tile count and
 //     are spliced with a prefix sum, preserving the exact serial output;
-//   - all scratch (active-tile lists, privatized buckets, gather buffers)
-//     lives in SpmspvWorkspace, so steady-state multiplies allocate nothing.
+//   - all scratch (active-tile lists, range buckets, gather buffers) lives
+//     in SpmspvWorkspace, so steady-state multiplies allocate nothing.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
+#include "core/semiring.hpp"
 #include "formats/sparse_vector.hpp"
 #include "obs/counters.hpp"
 #include "obs/shard_stats.hpp"
 #include "obs/trace.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/tile_chunks.hpp"
 #include "tile/tile_matrix.hpp"
@@ -149,9 +161,11 @@ inline void intra_tile_accumulate_runs(const T* vals, const std::uint8_t* cols,
 
 }  // namespace detail
 
-/// Per-range buffers for the parallel gather (phase 3): each range of
-/// output tiles assembles into its own pair of arrays, spliced afterwards.
-/// Buffers keep their capacity across multiplies.
+/// Per-range buffers: the parallel gather (phase 3) assembles each range of
+/// output tiles into its own pair of arrays, spliced afterwards, and the
+/// CSR side pass (phase 2) borrows the same arrays as its per-range
+/// (row, product) lists. Buffers keep their capacity across multiplies and
+/// are empty between phases.
 template <typename T>
 struct GatherScratch {
   std::vector<std::vector<index_t>> idx;
@@ -170,22 +184,30 @@ struct GatherScratch {
 /// Reusable buffers so per-multiply cost stays proportional to the touched
 /// rows, not to the matrix size (important at vector sparsity 1e-4, where a
 /// full O(rows) clear would dominate and hide the algorithm's advantage).
-/// Invariants between calls: y_dense, tile_flag, priv_vals and priv_touched
-/// are all-zero; priv_list entries are empty; `active` holds garbage.
-template <typename T = value_t>
+/// The semiring is part of the type, because the buckets are filled with
+/// S::zero(): one workspace cannot serve two semirings. The CSR form takes
+/// only the plus-times default. Invariants between calls: y_dense and
+/// tile_flag are all-zero, priv_slot is all kEmptyTile, priv_vals,
+/// priv_list and the gather lists are empty; `active` and `range_ptr` hold
+/// garbage.
+template <typename T = value_t, typename S = PlusTimes<T>>
 struct SpmspvWorkspace {
   std::vector<T> y_dense;                  // all-zero between calls
   std::vector<unsigned char> tile_flag;    // all-zero between calls
 
-  // Hoisted scratch for the active-tile lists built each multiply.
+  // Hoisted scratch for the active-tile lists built each multiply, and the
+  // boundaries of the ranges they are cut into (detail::cut_ranges).
   std::vector<index_t> active;
+  std::vector<index_t> range_ptr;
 
-  // Privatized CSC scatter buckets: slot s owns priv_vals[s*stride ..] and
-  // priv_touched[s*out_tiles ..]; priv_list[s] records which output tiles
-  // slot s touched (for capacity-preserving clears only — the merge pass
-  // discovers tiles from priv_touched).
-  std::vector<T> priv_vals;
-  std::vector<unsigned char> priv_touched;
+  // CSC range buckets, compact: priv_list[k] lists the output tiles range
+  // k touched in first-touch order, priv_vals[k] holds their nt-wide
+  // partial sums (block b belongs to priv_list[k][b]), and
+  // priv_slot[k*out_tiles + ot] is ot's block in range k or kEmptyTile.
+  // A range's sums take the space of the tiles it touched, not of the
+  // whole output.
+  std::vector<std::vector<T>> priv_vals;
+  std::vector<index_t> priv_slot;
   std::vector<std::vector<index_t>> priv_list;
 
   GatherScratch<T> gather;
@@ -208,19 +230,17 @@ struct SpmspvWorkspace {
     }
   }
 
-  void ensure_csc(index_t out_tiles, index_t nt, int buckets) {
-    const std::size_t need_vals = static_cast<std::size_t>(buckets) *
-                                  static_cast<std::size_t>(out_tiles) * nt;
-    if (priv_vals.size() < need_vals) priv_vals.resize(need_vals, T{});
-    const std::size_t need_touched =
+  void ensure_csc(index_t out_tiles, index_t buckets) {
+    const std::size_t need_slots =
         static_cast<std::size_t>(buckets) * out_tiles;
-    if (priv_touched.size() < need_touched) {
-      priv_touched.resize(need_touched, 0);
+    if (priv_slot.size() < need_slots) {
+      priv_slot.resize(need_slots, kEmptyTile);
     }
     if (priv_list.size() < static_cast<std::size_t>(buckets)) {
+      priv_vals.resize(buckets);
       priv_list.resize(buckets);
     }
-    // The merge dedups the per-slot lists through tile_flag, so it must
+    // The merge dedups the per-range lists through tile_flag, so it must
     // span the *output* tile grid too.
     if (static_cast<index_t>(tile_flag.size()) < out_tiles) {
       tile_flag.assign(out_tiles, 0);
@@ -230,14 +250,46 @@ struct SpmspvWorkspace {
 
 namespace detail {
 
+/// Most ranges a multiply cuts its active x-tile list into. A constant, so
+/// range boundaries, and with them every floating-point summation order,
+/// depend on the matrix and x only, never on the pool or its shards.
+inline constexpr index_t kMaxRanges = 16;
+
+/// Byte budget for the CSC form's range buckets if every range touched
+/// every output tile (ranges × out_tiles × nt × sizeof(T)): a very wide
+/// output is cut into fewer ranges rather than given an unbounded scratch
+/// footprint.
+inline constexpr std::size_t kBucketBudgetBytes = std::size_t{64} << 20;
+
+/// Cuts `active` into at most `max_ranges` contiguous ranges of about equal
+/// weight: build_weighted_chunks_into with target ceil(total / max_ranges).
+/// Every weight must be >= 1, which is what bounds the count (a full
+/// `max_ranges` chunks would already hold the whole total). Range k covers
+/// active[bounds[k] .. bounds[k+1]); returns the range count.
+template <typename WeightFn>
+index_t cut_ranges(std::vector<index_t>& bounds,
+                   const std::vector<index_t>& active, index_t max_ranges,
+                   WeightFn&& weight) {
+  offset_t total = 0;
+  for (const index_t s : active) total += weight(s);
+  const offset_t target =
+      std::max<offset_t>(1, ceil_div<offset_t>(total, max_ranges));
+  build_weighted_chunks_into(
+      bounds, static_cast<index_t>(active.size()), target,
+      [&](index_t i) { return weight(active[static_cast<std::size_t>(i)]); });
+  return static_cast<index_t>(bounds.size()) - 1;
+}
+
 /// Number of gather ranges for `tiles` output tile slots on `p`. 1 means
-/// "assemble serially": small outputs, a single-slot pool, or a host
-/// without real hardware parallelism (an oversubscribed pool would pay
-/// the splice's extra output copy with no concurrent assembly to show
-/// for it).
-inline index_t gather_ranges(index_t tiles, ThreadPool& p) {
+/// "assemble serially": fewer than `min_tiles` tiles, a single-slot pool,
+/// or a host without real hardware parallelism (an oversubscribed pool
+/// would pay the splice's extra output copy with no concurrent assembly to
+/// show for it). Ranges only split which task emits which tiles, so the
+/// output does not depend on this count.
+inline index_t gather_ranges(index_t tiles, ThreadPool& p,
+                             index_t min_tiles = 4096) {
   static const unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1 || p.size() <= 1 || tiles < 4096) return 1;
+  if (hw <= 1 || p.size() <= 1 || tiles < min_tiles) return 1;
   return std::min<index_t>(tiles,
                            static_cast<index_t>(4 * p.size()));
 }
@@ -266,11 +318,11 @@ void splice_ranges(index_t ranges, GatherScratch<T>& gs, ThreadPool* pool,
       pool, /*chunk=*/1);
 }
 
-/// Phase-3 gather over a dense accumulator + per-tile flags (CSR and masked
-/// forms): emits nonzeros of flagged tiles in index order, restoring the
-/// all-zero workspace invariant. `mask` (optional) suppresses emission at
-/// positions where mask[r] == complement; the accumulator is cleared either
-/// way. Parallel ranges produce bit-identical output to the serial loop.
+/// Phase-3 gather over a dense accumulator + per-tile flags (CSR form):
+/// emits nonzeros of flagged tiles in index order, restoring the all-zero
+/// workspace invariant. `mask` (optional) suppresses emission at positions
+/// where mask[r] == complement; the accumulator is cleared either way.
+/// Parallel ranges produce bit-identical output to the serial loop.
 template <typename T>
 SparseVec<T> gather_flagged_tiles(index_t n, index_t tiles, index_t nt, T* yd,
                                   unsigned char* flag, GatherScratch<T>& gs,
@@ -315,7 +367,7 @@ SparseVec<T> gather_flagged_tiles(index_t n, index_t tiles, index_t nt, T* yd,
   parallel_for(
       ranges,
       [&](index_t r) {
-        const index_t t_begin = r * per;
+        const index_t t_begin = std::min<index_t>(r * per, tiles);
         const index_t t_end = std::min<index_t>(t_begin + per, tiles);
         assemble(t_begin, t_end, gs.idx[r], gs.vals[r]);
       },
@@ -359,23 +411,26 @@ const std::vector<index_t>& phase1_shard_bounds(SpmspvWorkspace<T>& ws,
   return ws.shard_bounds;
 }
 
-}  // namespace detail
-
-/// y = A x with A in tiled form and x in tiled vector form.
+/// The CSR form, y<mask> = A x: the body of tile_spmspv and
+/// tile_spmspv_masked. `form` labels the trace spans; `mask` (optional)
+/// goes to the gather.
 template <typename T>
-SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
-                         SpmspvWorkspace<T>& ws, ThreadPool* pool = nullptr) {
+SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
+                        SpmspvWorkspace<T>& ws, ThreadPool* pool,
+                        const char* form, const std::vector<bool>* mask,
+                        bool complement) {
   const index_t nt = a.nt;
   ws.ensure(a.rows, a.tile_rows);
   T* yd = ws.y_dense.data();
   unsigned char* flag = ws.tile_flag.data();
 
   // Phase 1: tiled part, one task per work-balanced chunk of tile rows
-  // (paper Alg. 4 with conversion-time weighted scheduling). Counters
+  // (paper Alg. 4 with conversion-time weighted scheduling). A chunk owns
+  // its tile rows outright, so each row's sum has one order. Counters
   // accumulate into locals and flush once per chunk; with counters
   // compiled out the adds are dead and the locals fold away.
   {
-    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "csr");
+    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", form);
     std::vector<index_t> fallback;
     const std::vector<index_t>* cp = &a.row_chunk_ptr;
     if (cp->size() < 2) {
@@ -388,7 +443,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
         a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
     const auto chunk_body = [&](index_t c) {
           T acc[256];  // nt <= 256 by TileMatrix invariant
-          T prod[detail::kProdScratch];
+          T prod[kProdScratch];
           std::uint64_t scanned = 0, computed = 0, macs = 0;
           for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
             bool any = false;
@@ -410,13 +465,13 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
                 any = true;
               }
               if (have_runs) {
-                detail::intra_tile_accumulate_runs(
+                intra_tile_accumulate_runs(
                     &a.vals[base], &a.local_col[base],
                     a.row_runs.data() + 3 * a.run_ptr[t],
                     static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
                     tile_nnz, a.tile_strategy[t], xt, acc, prod);
               } else {
-                detail::intra_tile_accumulate(
+                intra_tile_accumulate(
                     &a.vals[base], &a.local_col[base],
                     &a.intra_row_ptr[t * (nt + 1)], nt, xt, acc, prod);
               }
@@ -442,8 +497,8 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
       // NUMA-sharded dispatch: each shard's workers drain the chunks whose
       // tile rows live (first-touch) on their node, stealing cross-node
       // only once their shard is dry.
-      const std::vector<index_t>& sb = detail::phase1_shard_bounds(
-          ws, a, chunk_ptr, nchunks, p1.num_shards());
+      const std::vector<index_t>& sb =
+          phase1_shard_bounds(ws, a, chunk_ptr, nchunks, p1.num_shards());
       p1.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
         for (index_t c = begin; c < end; ++c) chunk_body(c);
       });
@@ -454,45 +509,77 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 
   // Phase 2: extracted very-sparse part, driven by the active columns so
   // its cost is proportional to nnz(x), not to the side-matrix size.
+  // Columns of different ranges can hit one row, so each range appends its
+  // (row, a·x) products to its own list (the gather scratch, idle until
+  // phase 3) and the caller applies the lists in range order.
   if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "csr");
+    obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
     ws.active.clear();
     for (index_t s = 0; s < x.num_tiles(); ++s) {
       if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
     }
-    const std::vector<index_t>& active = ws.active;
+    // Unit weights: weighting by the side nnz of each tile's columns would
+    // read side_col_ptr once per active tile on the caller, a cache miss
+    // each, and balanced the pass no better than an even cut.
+    const index_t ranges = cut_ranges(ws.range_ptr, ws.active, kMaxRanges,
+                                      [](index_t) { return index_t{1}; });
+    GatherScratch<T>& gs = ws.gather;
+    gs.ensure(ranges);
     parallel_for(
-        static_cast<index_t>(active.size()),
-        [&](index_t ai) {
-          const index_t s = active[ai];
-          const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
+        ranges,
+        [&](index_t k) {
+          std::vector<index_t>& rows = gs.idx[k];
+          std::vector<T>& prods = gs.vals[k];
           std::uint64_t side = 0;
-          for (index_t lj = 0; lj < nt; ++lj) {
-            const index_t j = s * nt + lj;
-            if (j >= a.cols) break;
-            const T xv = xt[lj];
-            if (xv == T{}) continue;
-            side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
-                                               a.side_col_ptr[j]);
-            for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
-                 ++i) {
-              const index_t r = a.side_row_idx[i];
-              atomic_add(&yd[r], a.side_vals[i] * xv);
-              atomic_or<unsigned char>(&flag[r / nt], 1);
+          for (index_t ai = ws.range_ptr[k]; ai < ws.range_ptr[k + 1]; ++ai) {
+            const index_t s = ws.active[ai];
+            const T* xt =
+                &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
+            for (index_t lj = 0; lj < nt; ++lj) {
+              const index_t j = s * nt + lj;
+              if (j >= a.cols) break;
+              const T xv = xt[lj];
+              if (xv == T{}) continue;
+              side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
+                                                 a.side_col_ptr[j]);
+              for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
+                   ++i) {
+                rows.push_back(a.side_row_idx[i]);
+                prods.push_back(a.side_vals[i] * xv);
+              }
             }
           }
           obs::counter_add(obs::Counter::kSideMacs, side);
         },
-        pool, /*chunk=*/16);
+        pool, /*chunk=*/1);
+    for (index_t k = 0; k < ranges; ++k) {
+      const std::vector<index_t>& rows = gs.idx[k];
+      const std::vector<T>& prods = gs.vals[k];
+      for (std::size_t e = 0; e < rows.size(); ++e) {
+        yd[rows[e]] += prods[e];
+        flag[rows[e] / nt] = 1;
+      }
+      gs.idx[k].clear();
+      gs.vals[k].clear();
+    }
   }
 
   // Phase 3: gather touched tile rows into the sparse result and restore
   // the workspace's all-zero invariant.
-  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "csr");
+  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", form);
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(a.tile_rows));
-  return detail::gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag,
-                                      ws.gather, pool, nullptr, false);
+  return gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag, ws.gather,
+                              pool, mask, complement);
+}
+
+}  // namespace detail
+
+/// y = A x with A in tiled form and x in tiled vector form (CSR form).
+template <typename T>
+SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
+                         SpmspvWorkspace<T>& ws, ThreadPool* pool = nullptr) {
+  return detail::csr_spmspv(a, x, ws, pool, "csr", nullptr, false);
 }
 
 /// Convenience overload owning a transient workspace.
@@ -503,8 +590,31 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
   return tile_spmspv(a, x, ws, pool);
 }
 
-/// CSC-form TileSpMSpV (paper §3.2.3: "we provide two forms of SpMSpV
-/// algorithms: CSR-SpMSpV and CSC-SpMSpV", selected by vector density).
+/// Masked SpMSpV: y<mask> = A x, the GraphBLAS fused form. Only output
+/// positions allowed by the mask are emitted — with `complement` set,
+/// positions NOT in the mask (the BFS recurrence: next = (A·frontier)
+/// masked by the complement of visited). The multiply itself runs
+/// unmasked (output positions are unknown until computed); the fusion
+/// saves the intermediate vector materialization and the second merge
+/// pass of mask(tile_spmspv(...), m). Throws std::invalid_argument unless
+/// the mask has one entry per row of A.
+template <typename T>
+SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
+                                const TileVector<T>& x,
+                                const std::vector<bool>& mask_dense,
+                                bool complement, SpmspvWorkspace<T>& ws,
+                                ThreadPool* pool = nullptr) {
+  if (static_cast<index_t>(mask_dense.size()) != a.rows) {
+    throw std::invalid_argument(
+        "tile_spmspv_masked: mask length must equal the matrix rows");
+  }
+  return detail::csr_spmspv(a, x, ws, pool, "masked", &mask_dense,
+                            complement);
+}
+
+/// CSC-form TileSpMSpV over semiring S (paper §3.2.3: "we provide two
+/// forms of SpMSpV algorithms: CSR-SpMSpV and CSC-SpMSpV", selected by
+/// vector density).
 ///
 /// Vector-driven: only the tile *columns* whose vector tile is non-empty
 /// are visited, so the cost is proportional to the active part of the
@@ -515,73 +625,108 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 /// a local row is an input (column) index of A and a local column an
 /// output (row) index, so the same TileMatrix structure serves both
 /// orientations. Several tile columns can scatter into the same output
-/// tile; instead of the paper's atomic merge, each pool slot scatters into
-/// its own privatized bucket (owner-computes two-pass scheme) and the
-/// buckets are summed during the gather, so the hot loop performs no value
-/// atomics at all.
-template <typename T>
+/// tile; instead of the paper's atomic merge, the active x tiles are cut
+/// into input-derived ranges, each range scatters its tiled and side parts
+/// into its own bucket, and the gather sums the buckets in range order.
+/// The result holds every output whose value differs from S::zero().
+template <typename T, typename S>
 SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
-                             SpmspvWorkspace<T>& ws,
+                             SpmspvWorkspace<T, S>& ws,
                              ThreadPool* pool = nullptr) {
   const index_t nt = at.nt;
   const index_t out_n = at.cols;  // rows of A
   const index_t out_tiles = at.tile_cols;
   ThreadPool& p = pool ? *pool : ThreadPool::shared();
-  const int buckets = static_cast<int>(p.size());
   const std::size_t stride =
       static_cast<std::size_t>(out_tiles) * static_cast<std::size_t>(nt);
-  ws.ensure_csc(out_tiles, nt, buckets);
+  const bool has_side = at.extracted.nnz() > 0;
 
   // Active tile columns of A = non-empty tiles of x = tile rows of Aᵀ with
-  // a matching vector tile.
+  // a matching vector tile and some tiled or extracted entry. Entry (j, i)
+  // of Aᵀ's extracted part is A[i][j], so side_row_ptr (the row-major
+  // extracted COO) selects the side entries of input index j.
+  const auto side_begin = [&](index_t s) {
+    return at.side_row_ptr[std::min<index_t>(s * nt, at.rows)];
+  };
   ws.active.clear();
-  for (index_t s = 0; s < x.num_tiles(); ++s) {
-    if (x.x_ptr[s] != kEmptyTile && s < at.tile_rows &&
-        at.tile_row_ptr[s] < at.tile_row_ptr[s + 1]) {
+  for (index_t s = 0; s < x.num_tiles() && s < at.tile_rows; ++s) {
+    if (x.x_ptr[s] != kEmptyTile &&
+        (at.tile_row_ptr[s] < at.tile_row_ptr[s + 1] ||
+         (has_side && side_begin(s) < side_begin(s + 1)))) {
       ws.active.push_back(s);
     }
   }
-  const std::vector<index_t>& active = ws.active;
+  const std::size_t bucket_bytes = std::max<std::size_t>(1, stride * sizeof(T));
+  const auto max_ranges = static_cast<index_t>(std::clamp<std::size_t>(
+      detail::kBucketBudgetBytes / bucket_bytes, 1,
+      static_cast<std::size_t>(detail::kMaxRanges)));
+  const index_t buckets = detail::cut_ranges(
+      ws.range_ptr, ws.active, max_ranges, [&](index_t s) {
+        return 1 + (at.tile_row_ptr[s + 1] - at.tile_row_ptr[s]);
+      });
+  // Sized for max_ranges, not this cut: a matrix gets its slot maps in one
+  // allocation, whatever sequence of range counts its vectors produce.
+  ws.ensure_csc(out_tiles, max_ranges);
 
   {
     obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "csc");
     parallel_for(
-        static_cast<index_t>(active.size()),
-        [&](index_t ai) {
-          const int slot = ThreadPool::scratch_slot();
-          assert(slot < buckets);
-          T* pv = ws.priv_vals.data() + static_cast<std::size_t>(slot) * stride;
-          unsigned char* pt =
-              ws.priv_touched.data() +
-              static_cast<std::size_t>(slot) * out_tiles;
-          std::vector<index_t>& plist = ws.priv_list[slot];
-
-          const index_t s = active[ai];
-          const T* xt =
-              &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
-          std::uint64_t scanned = 0, macs = 0;
-          for (offset_t t = at.tile_row_ptr[s]; t < at.tile_row_ptr[s + 1];
-               ++t) {
-            ++scanned;
-            const index_t out_tile = at.tile_col_id[t];
-            T* tb = pv + static_cast<std::size_t>(out_tile) * nt;
-            const std::uint16_t* rp = &at.intra_row_ptr[t * (nt + 1)];
-            const offset_t base = at.tile_nnz_ptr[t];
-            bool touched = false;
-            for (index_t lj = 0; lj < nt; ++lj) {  // local input index
-              const T xv = xt[lj];
-              if (xv == T{}) continue;
-              const int b = rp[lj], e = rp[lj + 1];
-              if (e == b) continue;
-              macs += static_cast<std::uint64_t>(e - b);
-              touched = true;
-              for (offset_t i = base + b; i < base + e; ++i) {
-                tb[at.local_col[i]] += at.vals[i] * xv;
+        buckets,
+        [&](index_t k) {
+          std::vector<T>& pv = ws.priv_vals[k];
+          index_t* slot =
+              ws.priv_slot.data() + static_cast<std::size_t>(k) * out_tiles;
+          std::vector<index_t>& plist = ws.priv_list[k];
+          // Output tile ot's block in this range, S::zero()-filled on first
+          // touch. Only valid until the next first touch grows pv.
+          const auto block = [&](index_t ot) {
+            if (slot[ot] == kEmptyTile) {
+              slot[ot] = static_cast<index_t>(plist.size());
+              plist.push_back(ot);
+              pv.resize(pv.size() + static_cast<std::size_t>(nt), S::zero());
+            }
+            return pv.data() + static_cast<std::size_t>(slot[ot]) * nt;
+          };
+          std::uint64_t scanned = 0, macs = 0, side = 0;
+          for (index_t ai = ws.range_ptr[k]; ai < ws.range_ptr[k + 1]; ++ai) {
+            const index_t s = ws.active[ai];
+            const T* xt =
+                &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
+            // Tiled part.
+            for (offset_t t = at.tile_row_ptr[s]; t < at.tile_row_ptr[s + 1];
+                 ++t) {
+              ++scanned;
+              const std::uint16_t* rp = &at.intra_row_ptr[t * (nt + 1)];
+              const offset_t base = at.tile_nnz_ptr[t];
+              T* tb = nullptr;
+              for (index_t lj = 0; lj < nt; ++lj) {  // local input index
+                const T xv = xt[lj];
+                if (xv == S::zero()) continue;
+                const int b = rp[lj], e = rp[lj + 1];
+                if (e == b) continue;
+                macs += static_cast<std::uint64_t>(e - b);
+                if (tb == nullptr) tb = block(at.tile_col_id[t]);
+                for (offset_t i = base + b; i < base + e; ++i) {
+                  T& out = tb[at.local_col[i]];
+                  out = S::add(out, S::mul(at.vals[i], xv));
+                }
               }
             }
-            if (touched && !pt[out_tile]) {
-              pt[out_tile] = 1;
-              plist.push_back(out_tile);
+            if (!has_side) continue;
+            // Side part: output i is element i % nt of tile i / nt.
+            for (index_t lj = 0; lj < nt; ++lj) {
+              const index_t j = s * nt + lj;
+              if (j >= at.rows) break;
+              const T xv = xt[lj];
+              if (xv == S::zero()) continue;
+              side += static_cast<std::uint64_t>(at.side_row_ptr[j + 1] -
+                                                 at.side_row_ptr[j]);
+              for (offset_t e = at.side_row_ptr[j]; e < at.side_row_ptr[j + 1];
+                   ++e) {
+                const index_t i = at.extracted.col_idx[e];
+                T& out = block(i / nt)[i % nt];
+                out = S::add(out, S::mul(at.extracted.vals[e], xv));
+              }
             }
           }
           // Vector-driven form: every scanned tile is computed (there is no
@@ -589,74 +734,24 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
           obs::counter_add(obs::Counter::kTilesScanned, scanned);
           obs::counter_add(obs::Counter::kTilesComputed, scanned);
           obs::counter_add(obs::Counter::kPayloadMacs, macs);
-        },
-        &p, /*chunk=*/2);
-  }
-
-  // Extracted side part of Aᵀ: entry (j, i) of Aᵀ is A[i][j], so walking
-  // extracted *rows* j selected by x visits exactly the active columns of
-  // A (side_row_ptr indexes the row-major extracted COO). Scatters into
-  // the same privatized buckets as phase 1 (bucket element i lives at
-  // pv[i] because the bucket layout is tile-major and tiles are
-  // contiguous), so this pass is value-atomic-free as well.
-  if (at.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "csc");
-    ws.active.clear();
-    for (index_t s = 0; s < x.num_tiles(); ++s) {
-      if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
-    }
-    const std::vector<index_t>& x_active = ws.active;
-    parallel_for(
-        static_cast<index_t>(x_active.size()),
-        [&](index_t ai) {
-          const int slot = ThreadPool::scratch_slot();
-          assert(slot < buckets);
-          T* pv = ws.priv_vals.data() + static_cast<std::size_t>(slot) * stride;
-          unsigned char* pt =
-              ws.priv_touched.data() +
-              static_cast<std::size_t>(slot) * out_tiles;
-          std::vector<index_t>& plist = ws.priv_list[slot];
-
-          const index_t s = x_active[ai];
-          const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
-          std::uint64_t side = 0;
-          for (index_t lj = 0; lj < nt; ++lj) {
-            const index_t j = s * nt + lj;
-            if (j >= at.rows) break;
-            const T xv = xt[lj];
-            if (xv == T{}) continue;
-            side += static_cast<std::uint64_t>(at.side_row_ptr[j + 1] -
-                                               at.side_row_ptr[j]);
-            for (offset_t k = at.side_row_ptr[j]; k < at.side_row_ptr[j + 1];
-                 ++k) {
-              const index_t i = at.extracted.col_idx[k];
-              pv[i] += at.extracted.vals[k] * xv;
-              const index_t ot = i / nt;
-              if (!pt[ot]) {
-                pt[ot] = 1;
-                plist.push_back(ot);
-              }
-            }
-          }
           obs::counter_add(obs::Counter::kSideMacs, side);
         },
-        &p, /*chunk=*/16);
+        &p, /*chunk=*/1);
   }
 
-  // Phase 3: merge the privatized buckets and gather, driven by the union
-  // of the per-slot touched lists — cost proportional to the tiles the
-  // multiply actually produced, never to the output tile grid (the old
-  // atomic kernel's gather scanned every output tile's flag). Sorting the
+  // Phase 3: merge the range buckets and gather, driven by the union of
+  // the per-range touched lists — cost proportional to the tiles the
+  // multiply actually produced, never to the output tile grid. Sorting the
   // union keeps the emitted indices ordered; each candidate tile is owned
-  // by exactly one range, so bucket blocks are read, summed and re-zeroed
-  // without synchronization.
+  // by exactly one gather range, which sums its blocks in bucket order and
+  // resets its slots without synchronization.
   obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "csc");
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(out_tiles));
   SparseVec<T> y(out_n);
   unsigned char* mflag = ws.tile_flag.data();
-  ws.active.clear();  // phases 1-2 are done with it; reuse for the union
-  for (int bk = 0; bk < buckets; ++bk) {
+  ws.active.clear();  // the range loop is done with it; reuse for the union
+  for (index_t bk = 0; bk < buckets; ++bk) {
     for (const index_t ot : ws.priv_list[bk]) {
       if (!mflag[ot]) {
         mflag[ot] = 1;
@@ -681,31 +776,23 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
       const index_t ot = cand[ci];
       mflag[ot] = 0;
       bool any = false;
-      for (int bk = 0; bk < buckets; ++bk) {
-        unsigned char& touched =
-            ws.priv_touched[static_cast<std::size_t>(bk) * out_tiles + ot];
-        if (!touched) continue;
-        touched = 0;
-        T* tb = ws.priv_vals.data() + static_cast<std::size_t>(bk) * stride +
-                static_cast<std::size_t>(ot) * nt;
-        if (!any) {
-          for (index_t i = 0; i < nt; ++i) {
-            merged[i] = tb[i];
-            tb[i] = T{};
-          }
-          any = true;
-        } else {
-          for (index_t i = 0; i < nt; ++i) {
-            merged[i] += tb[i];
-            tb[i] = T{};
-          }
+      for (index_t bk = 0; bk < buckets; ++bk) {
+        index_t& slot =
+            ws.priv_slot[static_cast<std::size_t>(bk) * out_tiles + ot];
+        if (slot == kEmptyTile) continue;
+        const T* tb =
+            ws.priv_vals[bk].data() + static_cast<std::size_t>(slot) * nt;
+        slot = kEmptyTile;
+        for (index_t i = 0; i < nt; ++i) {
+          merged[i] = any ? S::add(merged[i], tb[i]) : tb[i];
         }
+        any = true;
       }
       if (!any) continue;  // unreachable: every listed tile has a bucket
       const index_t r_begin = ot * nt;
       const index_t r_end = std::min<index_t>(r_begin + nt, out_n);
       for (index_t r = r_begin; r < r_end; ++r) {
-        if (merged[r - r_begin] != T{}) {
+        if (merged[r - r_begin] != S::zero()) {
           out_idx.push_back(r);
           out_vals.push_back(merged[r - r_begin]);
         }
@@ -713,7 +800,10 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
     }
   };
 
-  const index_t ranges = detail::gather_ranges(ncand, p);
+  // A candidate's bucket lines were last written by the range task's
+  // worker, so each costs cross-core reads: split the merge from a few
+  // hundred candidates, well below the CSR gather's flag-scan threshold.
+  const index_t ranges = detail::gather_ranges(ncand, p, /*min_tiles=*/256);
   if (ranges <= 1) {
     merge_range(0, ncand, y.idx, y.vals);
   } else {
@@ -722,13 +812,14 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
     parallel_for(
         ranges,
         [&](index_t r) {
-          const index_t c_begin = r * per;
+          const index_t c_begin = std::min<index_t>(r * per, ncand);
           const index_t c_end = std::min<index_t>(c_begin + per, ncand);
           merge_range(c_begin, c_end, ws.gather.idx[r], ws.gather.vals[r]);
         },
         &p, /*chunk=*/1);
     detail::splice_ranges(ranges, ws.gather, &p, y);
   }
+  for (index_t bk = 0; bk < buckets; ++bk) ws.priv_vals[bk].clear();
   return y;
 }
 
@@ -737,140 +828,6 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
                              ThreadPool* pool = nullptr) {
   SpmspvWorkspace<T> ws;
   return tile_spmspv_csc(at, x, ws, pool);
-}
-
-/// Masked SpMSpV: y<mask> = A x, the GraphBLAS fused form. Only output
-/// positions allowed by the mask are emitted — with `complement` set,
-/// positions NOT in the mask (the BFS recurrence: next = (A·frontier)
-/// masked by the complement of visited). The multiply itself runs
-/// unmasked (output positions are unknown until computed); the fusion
-/// saves the intermediate vector materialization and the second merge
-/// pass of mask(tile_spmspv(...), m).
-template <typename T>
-SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
-                                const TileVector<T>& x,
-                                const std::vector<bool>& mask_dense,
-                                bool complement, SpmspvWorkspace<T>& ws,
-                                ThreadPool* pool = nullptr) {
-  assert(static_cast<index_t>(mask_dense.size()) == a.rows);
-  // Phases 1-2 identical to tile_spmspv; phase 3 applies the mask during
-  // the gather, so masked-out values never reach the output vector.
-  const index_t nt = a.nt;
-  ws.ensure(a.rows, a.tile_rows);
-  T* yd = ws.y_dense.data();
-  unsigned char* flag = ws.tile_flag.data();
-
-  {
-    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "masked");
-    std::vector<index_t> fallback;
-    const std::vector<index_t>* cp = &a.row_chunk_ptr;
-    if (cp->size() < 2) {
-      fallback = uniform_row_chunks(a.tile_rows, 8);
-      cp = &fallback;
-    }
-    const auto nchunks = static_cast<index_t>(cp->size()) - 1;
-    const index_t* chunk_ptr = cp->data();
-    const bool have_runs =
-        a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
-    const auto chunk_body = [&](index_t c) {
-          T acc[256];
-          T prod[detail::kProdScratch];
-          std::uint64_t scanned = 0, computed = 0, macs = 0;
-          for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
-            bool any = false;
-            for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
-                 ++t) {
-              ++scanned;
-              const index_t x_offset = x.x_ptr[a.tile_col_id[t]];
-              if (x_offset == kEmptyTile) continue;
-              ++computed;
-              const offset_t base = a.tile_nnz_ptr[t];
-              const auto tile_nnz =
-                  static_cast<int>(a.tile_nnz_ptr[t + 1] - base);
-              macs += static_cast<std::uint64_t>(tile_nnz);
-              const T* xt =
-                  &x.x_tile[static_cast<std::size_t>(x_offset) * nt];
-              if (!any) {
-                for (index_t i = 0; i < nt; ++i) acc[i] = T{};
-                any = true;
-              }
-              if (have_runs) {
-                detail::intra_tile_accumulate_runs(
-                    &a.vals[base], &a.local_col[base],
-                    a.row_runs.data() + 3 * a.run_ptr[t],
-                    static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
-                    tile_nnz, a.tile_strategy[t], xt, acc, prod);
-              } else {
-                detail::intra_tile_accumulate(
-                    &a.vals[base], &a.local_col[base],
-                    &a.intra_row_ptr[t * (nt + 1)], nt, xt, acc, prod);
-              }
-            }
-            if (any) {
-              const index_t r_end = std::min<index_t>((tr + 1) * nt, a.rows);
-              for (index_t r = tr * nt; r < r_end; ++r) {
-                yd[r] = acc[r - tr * nt];
-              }
-              flag[tr] = 1;
-            }
-          }
-          obs::counter_add(obs::Counter::kTilesScanned, scanned);
-          obs::counter_add(obs::Counter::kTilesSkippedEmpty,
-                           scanned - computed);
-          obs::counter_add(obs::Counter::kTilesComputed, computed);
-          obs::counter_add(obs::Counter::kPayloadMacs, macs);
-          obs::shard_add_tiles(ThreadPool::current_shard(), scanned);
-    };
-    ThreadPool& p1 = pool ? *pool : ThreadPool::shared();
-    if (p1.num_shards() > 1 && nchunks > 1) {
-      const std::vector<index_t>& sb = detail::phase1_shard_bounds(
-          ws, a, chunk_ptr, nchunks, p1.num_shards());
-      p1.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
-        for (index_t c = begin; c < end; ++c) chunk_body(c);
-      });
-    } else {
-      parallel_for(nchunks, chunk_body, pool, /*chunk=*/1);
-    }
-  }
-
-  if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "masked");
-    ws.active.clear();
-    for (index_t s = 0; s < x.num_tiles(); ++s) {
-      if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
-    }
-    const std::vector<index_t>& active = ws.active;
-    parallel_for(
-        static_cast<index_t>(active.size()),
-        [&](index_t ai) {
-          const index_t s = active[ai];
-          const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
-          std::uint64_t side = 0;
-          for (index_t lj = 0; lj < nt; ++lj) {
-            const index_t j = s * nt + lj;
-            if (j >= a.cols) break;
-            const T xv = xt[lj];
-            if (xv == T{}) continue;
-            side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
-                                               a.side_col_ptr[j]);
-            for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
-                 ++i) {
-              const index_t r = a.side_row_idx[i];
-              atomic_add(&yd[r], a.side_vals[i] * xv);
-              atomic_or<unsigned char>(&flag[r / nt], 1);
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        pool, /*chunk=*/16);
-  }
-
-  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "masked");
-  obs::counter_add(obs::Counter::kGatherSlots,
-                   static_cast<std::uint64_t>(a.tile_rows));
-  return detail::gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag,
-                                      ws.gather, pool, &mask_dense,
-                                      complement);
 }
 
 }  // namespace tilespmspv

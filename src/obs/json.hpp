@@ -1,11 +1,11 @@
 // Minimal JSON plumbing for the observability layer: a streaming writer
 // (objects/arrays with automatic comma placement, used by the trace and
-// metrics exporters and the CLI's --json mode) and a validating parser
-// (structure only, no DOM) so tests and smoke checks can assert that
-// emitted files are well-formed without an external dependency.
+// metrics exporters and the CLI's --json mode) and json_parse_ok, a
+// well-formedness check over the DOM parser in obs/json_value.hpp, so
+// tests and smoke checks can validate emitted files without an external
+// dependency.
 #pragma once
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +13,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/json_value.hpp"
 
 namespace tilespmspv::obs {
 
@@ -143,147 +145,12 @@ class JsonWriter {
   bool pending_value_ = false;
 };
 
-namespace detail {
-
-struct JsonParser {
-  std::string_view s;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  }
-
-  bool literal(std::string_view lit) {
-    if (s.compare(i, lit.size(), lit) != 0) return false;
-    i += lit.size();
-    return true;
-  }
-
-  bool string() {
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) return false;
-        if (s[i] == 'u') {
-          for (int k = 0; k < 4; ++k) {
-            ++i;
-            if (i >= s.size() || !std::isxdigit(static_cast<unsigned char>(s[i]))) {
-              return false;
-            }
-          }
-        }
-      }
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    std::size_t digits = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      ++i;
-      ++digits;
-    }
-    if (digits == 0) return false;
-    if (i < s.size() && s[i] == '.') {
-      ++i;
-      digits = 0;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) return false;
-    }
-    if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-      ++i;
-      if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-      digits = 0;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) return false;
-    }
-    return i > start;
-  }
-
-  bool value(int depth) {
-    if (depth > 256) return false;
-    skip_ws();
-    if (i >= s.size()) return false;
-    const char c = s[i];
-    if (c == '{') {
-      ++i;
-      skip_ws();
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-        return true;
-      }
-      for (;;) {
-        skip_ws();
-        if (!string()) return false;
-        skip_ws();
-        if (i >= s.size() || s[i] != ':') return false;
-        ++i;
-        if (!value(depth + 1)) return false;
-        skip_ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == '}') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++i;
-      skip_ws();
-      if (i < s.size() && s[i] == ']') {
-        ++i;
-        return true;
-      }
-      for (;;) {
-        if (!value(depth + 1)) return false;
-        skip_ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == ']') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-};
-
-}  // namespace detail
-
 /// True when `s` is a single well-formed JSON value (the whole input).
+/// Runs the DOM parser (obs/json_value.hpp), so validation and reading
+/// share one grammar: standard escapes only, nesting depth at most 128.
 inline bool json_parse_ok(std::string_view s) {
-  detail::JsonParser p{s};
-  if (!p.value(0)) return false;
-  p.skip_ws();
-  return p.i == s.size();
+  JsonValue v;
+  return json_parse_value(s, &v);
 }
 
 }  // namespace tilespmspv::obs

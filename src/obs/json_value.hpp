@@ -1,9 +1,10 @@
 // Minimal DOM JSON parser for the observability layer: bench_compare and
 // the bench-report tests need to read values back out of BENCH_*.json
-// files, not just validate their structure (obs/json.hpp stays the
-// validating/streaming half). Insertion order of object members is
-// preserved so round-trips are inspectable; numbers are stored as double
-// (every value the bench schema emits fits). No external dependency.
+// files, and obs::json_parse_ok validates through it, so the repo has one
+// JSON grammar (obs/json.hpp keeps the streaming writer). Insertion order
+// of object members is preserved so round-trips are inspectable; numbers
+// are stored as double (every value the bench schema emits fits). No
+// external dependency.
 #pragma once
 
 #include <cctype>

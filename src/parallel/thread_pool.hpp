@@ -46,8 +46,8 @@ namespace tilespmspv {
 /// consistent, so either the worker's re-check sees the close or the
 /// caller's wait sees the join. Each drainer leaves with a release
 /// decrement that the wait reads (seq_cst includes acquire), so every
-/// write made inside a body — the privatized per-slot buckets included —
-/// is visible to the caller when the dispatch returns, which is the
+/// write made inside a body — privatized per-slot or per-range scratch
+/// included — is visible to the caller when the dispatch returns, which is the
 /// barrier the merge phases rely on.
 ///
 /// One thread dispatches onto a given pool at a time (a pool's workers may
@@ -149,7 +149,7 @@ class ThreadPool {
   /// pool's workers, and -1 for a thread outside any dispatch (a plain
   /// application thread, or a worker of some *other* pool). Always < size()
   /// while executing a body dispatched by this pool, which is what the
-  /// privatized (per-slot) scatter buffers in the SpMSpV kernels rely on.
+  /// per-slot scratch of TileBFS and the block SpMSpM engine relies on.
   static int current_slot();
 
   /// current_slot() with the off-pool sentinel folded into the caller

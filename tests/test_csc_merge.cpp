@@ -1,21 +1,120 @@
-// Privatized CSC scatter/merge under contention. The CSC kernel replaced
-// its per-value atomics with per-slot buckets merged during the gather;
-// these tests hammer that path with many tile columns scattering into few
-// output tiles on pools of several sizes, so a data race in the bucket
-// ownership or the merge hand-off is visible to ThreadSanitizer (CI runs
-// this binary under TSan) and any lost update breaks the exact-value
-// checks below.
+// Deterministic range buckets and their merge under contention. The CSC
+// kernel scatters each range of active x tiles into its own bucket and the
+// gather sums the buckets in range order; the CSR side pass appends to
+// per-range lists applied in range order. Range boundaries come from the
+// matrix and x alone, so every form's result is bitwise identical across
+// pool sizes, shard counts and repeated runs — the first test checks
+// exactly that for all four entry points. The others hammer the bucket
+// path with many tile columns scattering into few output tiles on pools of
+// several sizes, so a data race in the bucket ownership or the merge
+// hand-off is visible to ThreadSanitizer (CI runs this binary under TSan)
+// and any lost update breaks the exact-value checks.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <thread>
 
+#include "core/spmspv.hpp"
 #include "core/spmspv_reference.hpp"
 #include "core/tile_spmspv.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/suite.hpp"
 #include "gen/vector_gen.hpp"
 
 namespace tilespmspv {
 namespace {
+
+bool bitwise_equal(const SparseVec<value_t>& a, const SparseVec<value_t>& b) {
+  return a.n == b.n && a.idx == b.idx && a.vals.size() == b.vals.size() &&
+         (a.vals.empty() ||
+          std::memcmp(a.vals.data(), b.vals.data(),
+                      a.vals.size() * sizeof(value_t)) == 0);
+}
+
+// One pool's results for every form on every input vector, computed on one
+// workspace (and one semiring operator) `reps` times over; each repeat must
+// reproduce the first bit for bit.
+struct FormRunner {
+  const Csr<value_t>& a;
+  const TileMatrix<value_t>& tiled;
+  const TileMatrix<value_t>& tiled_t;
+  const std::vector<SparseVec<value_t>>& xs;
+  const std::vector<bool>& mask;
+
+  std::vector<SparseVec<value_t>> run(ThreadPool& pool, int reps) const {
+    SpmspvWorkspace<value_t> ws;
+    SemiringOperator<PlusTimes<value_t>> sop(a, 16, 2, &pool);
+    std::vector<SparseVec<value_t>> first;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<SparseVec<value_t>> out;
+      for (const SparseVec<value_t>& x : xs) {
+        const TileVector<value_t> xt = TileVector<value_t>::from_sparse(x, 16);
+        out.push_back(tile_spmspv(tiled, xt, ws, &pool));
+        out.push_back(tile_spmspv_csc(tiled_t, xt, ws, &pool));
+        out.push_back(tile_spmspv_masked(tiled, xt, mask, true, ws, &pool));
+        out.push_back(sop.multiply(x));
+      }
+      if (rep == 0) {
+        first = std::move(out);
+        continue;
+      }
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(out[i], first[i]))
+            << "repeat " << rep << " differs, form " << i % 4 << " vector "
+            << i / 4;
+      }
+    }
+    return first;
+  }
+};
+
+// Every floating-point sum has one order: the CSR, CSC, masked and
+// semiring forms give bitwise the 1-thread result on pools of 2, 4 and 8,
+// on a 2-shard pool, and on every repeat through one workspace. web-small
+// has extracted entries, so both side passes run, and hub rows collect
+// products from many x tiles.
+TEST(CscMerge, EveryFormIsBitwiseDeterministic) {
+  const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix("web-small"));
+  const TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
+  const TileMatrix<value_t> tiled_t =
+      TileMatrix<value_t>::from_csr(a.transpose(), 16, 2);
+  ASSERT_GT(tiled.extracted.nnz(), 0);
+  ASSERT_GT(tiled_t.extracted.nnz(), 0);
+  std::vector<SparseVec<value_t>> xs;
+  for (const double sparsity : {1e-1, 1e-2, 1e-3}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      xs.push_back(gen_sparse_vector(a.cols, sparsity, 900 + seed));
+    }
+  }
+  std::vector<bool> mask(a.rows);
+  for (index_t r = 0; r < a.rows; ++r) mask[r] = r % 3 == 0;
+  const FormRunner runner{a, tiled, tiled_t, xs, mask};
+
+  ThreadPool serial(1);
+  const std::vector<SparseVec<value_t>> expect = runner.run(serial, 1);
+  for (std::size_t i = 0; i < expect.size(); i += 4) {
+    ASSERT_TRUE(approx_equal(expect[i], spmspv_rowwise_reference(a, xs[i / 4])))
+        << "vector " << i / 4;
+  }
+  const auto check = [&](ThreadPool& pool, int reps, const std::string& what) {
+    const std::vector<SparseVec<value_t>> got = runner.run(pool, reps);
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(got[i], expect[i]))
+          << what << ": form " << i % 4 << " vector " << i / 4;
+    }
+  };
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    check(pool, 1, std::to_string(threads) + " threads");
+  }
+  ThreadPool sharded(4);
+  sharded.configure_shards(2, false);
+  check(sharded, 1, "4 threads, 2 shards");
+  ThreadPool pool(4);
+  check(pool, 8, "4 threads, 8 repeats");
+}
 
 // Tall-thin transpose: many active tile rows of Aᵀ all scatter into the
 // same few output tiles — the worst case for the old atomic scheme and
@@ -42,10 +141,10 @@ TEST(CscMerge, ManyColumnsFewOutputTilesAllPoolSizes) {
   }
 }
 
-// The workspace invariant the kernel relies on: every privatized buffer is
-// all-zero between calls, so a stale value from a racy or skipped clear
-// would poison the next multiply. Alternating two different vectors on one
-// workspace catches exactly that.
+// The workspace invariant the kernel relies on: between calls every range
+// bucket is empty and every slot map entry is kEmptyTile, so a stale block
+// or slot from a racy or skipped reset would poison the next multiply.
+// Alternating two different vectors on one workspace catches exactly that.
 TEST(CscMerge, WorkspaceBucketsAreCleanBetweenCalls) {
   const Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(300, 300, 0.03, 11));
@@ -61,8 +160,8 @@ TEST(CscMerge, WorkspaceBucketsAreCleanBetweenCalls) {
         approx_equal(tile_spmspv_csc(at, xt, ws, &pool),
                      spmspv_rowwise_reference(a, x)))
         << "rep=" << rep;
-    for (const value_t v : ws.priv_vals) ASSERT_EQ(v, value_t{});
-    for (const unsigned char t : ws.priv_touched) ASSERT_EQ(t, 0);
+    for (const auto& vals : ws.priv_vals) ASSERT_TRUE(vals.empty());
+    for (const index_t slot : ws.priv_slot) ASSERT_EQ(slot, kEmptyTile);
     for (const auto& list : ws.priv_list) ASSERT_TRUE(list.empty());
   }
 }

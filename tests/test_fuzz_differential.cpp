@@ -11,7 +11,6 @@
 #include "baselines/tile_spmv.hpp"
 #include "core/spmspv.hpp"
 #include "core/spmspv_reference.hpp"
-#include "core/tile_spmspv_semiring.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/vector_gen.hpp"
 #include "spgemm/gustavson.hpp"

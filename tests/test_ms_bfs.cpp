@@ -5,7 +5,6 @@
 
 #include "apps/ms_bfs.hpp"
 #include "baselines/serial_bfs.hpp"
-#include "bfs/tile_ms_bfs.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/grid.hpp"
 #include "gen/rmat.hpp"
@@ -103,60 +102,6 @@ TEST(MsBfs, RoundsEqualMaxEccentricityOfBatch) {
   EXPECT_EQ(r.rounds, 100);
   EXPECT_EQ(r.levels[0][99], 99);
   EXPECT_EQ(r.levels[1][99], 49);
-}
-
-class TileMsBfsBatch : public ::testing::TestWithParam<int> {};
-
-TEST_P(TileMsBfsBatch, EverySourceMatchesSerial) {
-  const int k = GetParam();
-  Csr<value_t> g = undirected(900, 0.005, 821);
-  std::vector<index_t> sources;
-  for (int s = 0; s < k; ++s) {
-    sources.push_back(static_cast<index_t>((s * 97) % 900));
-  }
-  const TileMsBfsResult r = tile_ms_bfs(g, sources);
-  for (int s = 0; s < k; ++s) {
-    EXPECT_EQ(r.levels[s], serial_bfs(g, sources[s])) << "slot " << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BatchSizes, TileMsBfsBatch,
-                         ::testing::Values(1, 5, 31, 64));
-
-TEST(TileMsBfs, MatchesPlainMsBfs) {
-  Csr<value_t> g = Csr<value_t>::from_coo(gen_grid2d(25, 25, 0.9, 822));
-  std::vector<index_t> sources{0, 300, 624};
-  const MsBfsResult plain = ms_bfs(g, sources);
-  const TileMsBfsResult tiled = tile_ms_bfs(g, sources);
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(tiled.levels[s], plain.levels[s]);
-  }
-}
-
-TEST(TileMsBfs, ExtractionThresholdsAgree) {
-  Csr<value_t> g = undirected(700, 0.004, 823);
-  std::vector<index_t> sources{1, 350, 699};
-  const TileMsBfsResult base = tile_ms_bfs(g, sources, 0);
-  for (index_t extract : {2, 8, 1 << 20}) {
-    const TileMsBfsResult r = tile_ms_bfs(g, sources, extract);
-    for (int s = 0; s < 3; ++s) {
-      EXPECT_EQ(r.levels[s], base.levels[s]) << "extract " << extract;
-    }
-  }
-}
-
-TEST(TileMsBfs, Nt64Path) {
-  Csr<value_t> g = undirected(2000, 0.003, 824);
-  const auto tiles = BitTileGraph<64>::from_csr(g, 2);
-  const TileMsBfsResult r = tile_ms_bfs(tiles, {0, 1000});
-  EXPECT_EQ(r.levels[0], serial_bfs(g, 0));
-  EXPECT_EQ(r.levels[1], serial_bfs(g, 1000));
-}
-
-TEST(TileMsBfs, RejectsTooManySources) {
-  Csr<value_t> g = undirected(64, 0.1, 825);
-  EXPECT_THROW(tile_ms_bfs(g, std::vector<index_t>(65, 0)),
-               std::invalid_argument);
 }
 
 class MsBfsTiledBatch : public ::testing::TestWithParam<int> {};

@@ -9,9 +9,9 @@
 #include "apps/connected_components.hpp"
 #include "apps/ppr.hpp"
 #include "apps/sssp.hpp"
+#include "core/spmspv.hpp"
 #include "core/spmspv_reference.hpp"
 #include "core/tile_spmspv.hpp"
-#include "core/tile_spmspv_semiring.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/grid.hpp"
 #include "gen/vector_gen.hpp"

@@ -226,6 +226,23 @@ TEST(SpmspvOperator, MaskedMultiplyAllMaskedGivesEmpty) {
   EXPECT_TRUE(approx_equal(op.multiply(x), spmspv_rowwise_reference(a, x)));
 }
 
+// A mask shorter than the output would have the gather read past the end
+// of the std::vector<bool>; the length check must hold in Release builds
+// too, and the rejected call must leave the workspace clean.
+TEST(SpmspvOperator, MaskedMultiplyRejectsShortMask) {
+  Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(300, 300, 0.03, 198));
+  SpmspvOperator<value_t> op(a);
+  SparseVec<value_t> x = gen_sparse_vector(300, 0.1, 22);
+  const std::vector<bool> short_mask(299, true);
+  EXPECT_THROW(op.multiply_masked(x, short_mask, false),
+               std::invalid_argument);
+  const std::vector<bool> all(300, true);
+  EXPECT_TRUE(approx_equal(op.multiply_masked(x, all, false),
+                           spmspv_rowwise_reference(a, x)));
+  EXPECT_TRUE(approx_equal(op.multiply(x), spmspv_rowwise_reference(a, x)));
+}
+
 TEST(SpmspvOperator, AutoSelectsDenseSpmvForNearDenseVectors) {
   Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(2000, 2000, 0.005, 197));
