@@ -5,11 +5,12 @@
 //
 // The paper provides two forms of the kernel (§3.2.3) — matrix-driven
 // CSR-SpMSpV and vector-driven CSC-SpMSpV — "automatically selected"
-// (§1, §3.1) by the sparsity of the input vector. The CSR form touches
-// every tile row's metadata but streams payloads contiguously, winning for
-// denser vectors; the CSC form's work is proportional to the active
-// columns only, winning when x is very sparse. The crossover threshold
-// mirrors the 0.01 sparsity constant of the BFS selector.
+// (§1, §3.1) by the input vector. The CSR form touches every tile row's
+// metadata but streams payloads contiguously; the CSC form's work follows
+// x's non-empty tiles only. Both forms' costs follow tiles, not nonzeros,
+// so the selector compares x's tile occupancy (the fraction of non-empty
+// tiles) with kCscTileDensity rather than the paper's 0.01 sparsity rule
+// (EXPERIMENTS.md records the sweep that placed the cut).
 //
 // SemiringOperator is the same preprocessing for a GraphBLAS semiring
 // (core/semiring.hpp): it runs the CSC form with the semiring as its
@@ -31,7 +32,7 @@ namespace tilespmspv {
 
 /// Which kernel a multiply should use.
 enum class SpmspvKernel {
-  kAuto,      // select by vector sparsity (paper behaviour)
+  kAuto,      // select by vector sparsity and tile occupancy
   kCsr,       // matrix-driven (paper Alg. 4)
   kCsc,       // vector-driven (paper §3.2.3 CSC-SpMSpV)
   kDenseSpmv, // densify x and run tiled SpMV (Li et al. [31] adaptive tier)
@@ -44,11 +45,9 @@ struct SpmspvConfig {
   /// Tiles with at most this many nonzeros are extracted to COO ("a couple
   /// of nonzeros"; 0 disables extraction).
   index_t extract_threshold = 2;
-  /// Kernel choice; kAuto switches on vector sparsity.
+  /// Kernel choice; kAuto switches on the vector's sparsity and tile
+  /// occupancy.
   SpmspvKernel kernel = SpmspvKernel::kAuto;
-  /// Vector sparsity below which kAuto picks the CSC form (the same 0.01
-  /// constant the BFS selector uses).
-  double csc_sparsity_threshold = 0.01;
   /// Vector sparsity at or above which kAuto densifies x and runs the
   /// tiled SpMV instead — the adaptive SpMV/SpMSpV selection of Li et
   /// al. (TPDS'21), which the paper cites as the related strategy: once x
@@ -61,6 +60,10 @@ struct SpmspvConfig {
 template <typename T = value_t>
 class SpmspvOperator {
  public:
+  /// Tile occupancy (x.tile_density()) below which kAuto picks the CSC
+  /// form; EXPERIMENTS.md (deviation D3) has the sweep that placed it.
+  static constexpr double kCscTileDensity = 0.25;
+
   SpmspvOperator(const Csr<T>& a, SpmspvConfig cfg = {},
                  ThreadPool* pool = nullptr)
       : cfg_(cfg),
@@ -94,7 +97,9 @@ class SpmspvOperator {
   }
 
   /// y = A x when the caller already holds x in tiled form (e.g. iterative
-  /// algorithms that keep vectors tiled across steps).
+  /// algorithms that keep vectors tiled across steps). Throws
+  /// std::invalid_argument unless x has one entry per column of A and the
+  /// operator's tile size.
   SparseVec<T> multiply(const TileVector<T>& x) {
     switch (select(x)) {
       case SpmspvKernel::kCsc:
@@ -102,11 +107,10 @@ class SpmspvOperator {
       case SpmspvKernel::kDenseSpmv: {
         // Densify and run the tiled SpMV: every non-empty matrix tile is
         // computed, with no vector-tile skipping.
+        detail::require_operand(x, n_, tiled_.nt, "SpmspvOperator::multiply");
         std::vector<T> xd(n_, T{});
-        for (index_t t = 0; t < x.num_tiles(); ++t) {
-          const index_t slot = x.x_ptr[t];
-          if (slot == kEmptyTile) continue;
-          const index_t base = t * x.nt;
+        for (std::size_t slot = 0; slot < x.tiles.size(); ++slot) {
+          const index_t base = x.tiles[slot] * x.nt;
           for (index_t j = 0; j < x.nt && base + j < n_; ++j) {
             xd[base + j] = x.x_tile[slot * x.nt + j];
           }
@@ -139,14 +143,12 @@ class SpmspvOperator {
   /// the benchmark harnesses' reporting).
   SpmspvKernel select(const TileVector<T>& x) const {
     if (cfg_.kernel != SpmspvKernel::kAuto) return cfg_.kernel;
-    const double sparsity = x.sparsity();
-    if (sparsity < cfg_.csc_sparsity_threshold) {
-      return has_transpose_ ? SpmspvKernel::kCsc : SpmspvKernel::kCsr;
-    }
-    if (sparsity >= cfg_.spmv_density_threshold) {
+    if (x.sparsity() >= cfg_.spmv_density_threshold) {
       return SpmspvKernel::kDenseSpmv;
     }
-    return SpmspvKernel::kCsr;
+    return has_transpose_ && x.tile_density() < kCscTileDensity
+               ? SpmspvKernel::kCsc
+               : SpmspvKernel::kCsr;
   }
 
   const TileMatrix<T>& matrix() const { return tiled_; }
@@ -164,7 +166,7 @@ class SpmspvOperator {
 
 /// y = A ⊗ x over semiring S, for repeated multiplies with one matrix:
 /// tiles Aᵀ once and runs the CSC form with S as its policy, on one
-/// hoisted workspace and one hoisted tiled input vector.
+/// hoisted workspace.
 template <typename S, typename T = typename S::value_type>
 class SemiringOperator {
  public:
@@ -176,36 +178,16 @@ class SemiringOperator {
         pool_(pool) {}
 
   /// The result holds every output whose value differs from S::zero().
+  /// x's unset positions inside its non-empty tiles read as S::zero(),
+  /// which is not T{} for min-plus.
   SparseVec<T> multiply(const SparseVec<T>& x) {
-    tile_vector_for_semiring(x);
-    return tile_spmspv_csc<T, S>(tiled_t_, xt_, ws_, pool_);
+    return tile_spmspv_csc<T, S>(
+        tiled_t_, TileVector<T>::from_sparse(x, nt_, S::zero()), ws_, pool_);
   }
 
  private:
-  /// TileVector's empty slots read as T{}; for semirings whose identity is
-  /// not T{} (min-plus!) the padding inside non-empty tiles must be
-  /// S::zero() instead, so the tile is built here with explicit fill.
-  void tile_vector_for_semiring(const SparseVec<T>& x) {
-    xt_.n = x.n;
-    xt_.nt = nt_;
-    xt_.nnz = static_cast<index_t>(x.idx.size());
-    xt_.x_ptr.assign(ceil_div(x.n, nt_), kEmptyTile);
-    index_t slots = 0;
-    for (index_t i : x.idx) {
-      index_t& p = xt_.x_ptr[i / nt_];
-      if (p == kEmptyTile) p = slots++;
-    }
-    xt_.x_tile.assign(static_cast<std::size_t>(slots) * nt_, S::zero());
-    for (std::size_t k = 0; k < x.idx.size(); ++k) {
-      const index_t i = x.idx[k];
-      xt_.x_tile[static_cast<std::size_t>(xt_.x_ptr[i / nt_]) * nt_ +
-                 i % nt_] = x.vals[k];
-    }
-  }
-
   index_t nt_;
   TileMatrix<T> tiled_t_;
-  TileVector<T> xt_;
   SpmspvWorkspace<T, S> ws_;
   ThreadPool* pool_;
 };

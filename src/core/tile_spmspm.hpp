@@ -349,6 +349,9 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
                 for (std::uint64_t bits = colmask; bits != 0;
                      bits &= bits - 1) {
                   const int v = std::countr_zero(bits);
+                  // Order-dependent float sum (ROADMAP item 1: per-range
+                  // lists applied in range order would fix it).
+                  // lint:allow(core-atomic-add)
                   atomic_add(&yrow[v], av * xrow[v]);
                 }
                 atomic_or(&rmask[r / nt], colmask);

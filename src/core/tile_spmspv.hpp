@@ -34,8 +34,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -186,29 +188,31 @@ struct GatherScratch {
 /// full O(rows) clear would dominate and hide the algorithm's advantage).
 /// The semiring is part of the type, because the buckets are filled with
 /// S::zero(): one workspace cannot serve two semirings. The CSR form takes
-/// only the plus-times default. Invariants between calls: y_dense and
-/// tile_flag are all-zero, priv_slot is all kEmptyTile, priv_vals,
-/// priv_list and the gather lists are empty; `active` and `range_ptr` hold
+/// only the plus-times default. Invariants between calls: y_dense,
+/// tile_flag and priv_bits are all-zero, priv_slot is all kEmptyTile,
+/// priv_vals and the gather lists are empty; `active` and `range_ptr` hold
 /// garbage.
 template <typename T = value_t, typename S = PlusTimes<T>>
 struct SpmspvWorkspace {
   std::vector<T> y_dense;                  // all-zero between calls
   std::vector<unsigned char> tile_flag;    // all-zero between calls
 
-  // Hoisted scratch for the active-tile lists built each multiply, and the
-  // boundaries of the ranges they are cut into (detail::cut_ranges).
+  // Hoisted scratch for the CSC form's active-tile list, and the
+  // boundaries of the ranges a multiply cuts its active tiles into
+  // (detail::cut_ranges).
   std::vector<index_t> active;
   std::vector<index_t> range_ptr;
 
-  // CSC range buckets, compact: priv_list[k] lists the output tiles range
-  // k touched in first-touch order, priv_vals[k] holds their nt-wide
-  // partial sums (block b belongs to priv_list[k][b]), and
-  // priv_slot[k*out_tiles + ot] is ot's block in range k or kEmptyTile.
-  // A range's sums take the space of the tiles it touched, not of the
-  // whole output.
+  // CSC range buckets, compact: priv_vals[k] holds the nt-wide partial
+  // sums of the output tiles range k touched, in first-touch order,
+  // priv_slot[k*out_tiles + ot] is ot's block in range k or kEmptyTile, and
+  // bit ot of range k's bitmap (words priv_bits[k*W ..], W =
+  // ceil(out_tiles/64)) is set iff that slot is. A range's sums take the
+  // space of the tiles it touched; the bitmaps let the merge find the
+  // touched tiles in index order without sorting.
   std::vector<std::vector<T>> priv_vals;
   std::vector<index_t> priv_slot;
-  std::vector<std::vector<index_t>> priv_list;
+  std::vector<std::uint64_t> priv_bits;
 
   GatherScratch<T> gather;
 
@@ -231,20 +235,13 @@ struct SpmspvWorkspace {
   }
 
   void ensure_csc(index_t out_tiles, index_t buckets) {
-    const std::size_t need_slots =
-        static_cast<std::size_t>(buckets) * out_tiles;
-    if (priv_slot.size() < need_slots) {
-      priv_slot.resize(need_slots, kEmptyTile);
+    const auto nb = static_cast<std::size_t>(buckets);
+    if (priv_slot.size() < nb * out_tiles) {
+      priv_slot.resize(nb * out_tiles, kEmptyTile);
     }
-    if (priv_list.size() < static_cast<std::size_t>(buckets)) {
-      priv_vals.resize(buckets);
-      priv_list.resize(buckets);
-    }
-    // The merge dedups the per-range lists through tile_flag, so it must
-    // span the *output* tile grid too.
-    if (static_cast<index_t>(tile_flag.size()) < out_tiles) {
-      tile_flag.assign(out_tiles, 0);
-    }
+    const std::size_t need_words = nb * ceil_div<std::size_t>(out_tiles, 64);
+    if (priv_bits.size() < need_words) priv_bits.resize(need_words, 0);
+    if (priv_vals.size() < nb) priv_vals.resize(nb);
   }
 };
 
@@ -411,6 +408,26 @@ const std::vector<index_t>& phase1_shard_bounds(SpmspvWorkspace<T>& ws,
   return ws.shard_bounds;
 }
 
+/// Rejects an x the kernels would index out of bounds: it must have one
+/// entry per input index of the matrix (`in_n`), the matrix's tile size, a
+/// slot map over ceil(in_n/nt) tiles and one tile-list entry per stored
+/// tile. O(1); validate_tile_vector checks the contents.
+template <typename T>
+void require_operand(const TileVector<T>& x, index_t in_n, index_t nt,
+                     const char* who) {
+  if (x.n != in_n || x.nt != nt ||
+      x.x_ptr.size() != static_cast<std::size_t>(ceil_div(in_n, nt))) {
+    throw std::invalid_argument(
+        std::string(who) + ": x has length " + std::to_string(x.n) +
+        " and tile size " + std::to_string(x.nt) + ", the matrix takes " +
+        std::to_string(in_n) + " and " + std::to_string(nt));
+  }
+  if (x.tiles.size() != static_cast<std::size_t>(x.num_nonempty_tiles())) {
+    throw std::invalid_argument(std::string(who) +
+                                ": x's tile list does not cover its slots");
+  }
+}
+
 /// The CSR form, y<mask> = A x: the body of tile_spmspv and
 /// tile_spmspv_masked. `form` labels the trace spans; `mask` (optional)
 /// goes to the gather.
@@ -514,14 +531,11 @@ SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
   // phase 3) and the caller applies the lists in range order.
   if (a.extracted.nnz() > 0) {
     obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
-    ws.active.clear();
-    for (index_t s = 0; s < x.num_tiles(); ++s) {
-      if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
-    }
-    // Unit weights: weighting by the side nnz of each tile's columns would
-    // read side_col_ptr once per active tile on the caller, a cache miss
-    // each, and balanced the pass no better than an even cut.
-    const index_t ranges = cut_ranges(ws.range_ptr, ws.active, kMaxRanges,
+    // The active tiles are x's tile list. Unit weights: weighting by the
+    // side nnz of each tile's columns would read side_col_ptr once per
+    // active tile on the caller, a cache miss each, and balanced the pass
+    // no better than an even cut.
+    const index_t ranges = cut_ranges(ws.range_ptr, x.tiles, kMaxRanges,
                                       [](index_t) { return index_t{1}; });
     GatherScratch<T>& gs = ws.gather;
     gs.ensure(ranges);
@@ -532,9 +546,8 @@ SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
           std::vector<T>& prods = gs.vals[k];
           std::uint64_t side = 0;
           for (index_t ai = ws.range_ptr[k]; ai < ws.range_ptr[k + 1]; ++ai) {
-            const index_t s = ws.active[ai];
-            const T* xt =
-                &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
+            const index_t s = x.tiles[ai];
+            const T* xt = &x.x_tile[static_cast<std::size_t>(ai) * nt];
             for (index_t lj = 0; lj < nt; ++lj) {
               const index_t j = s * nt + lj;
               if (j >= a.cols) break;
@@ -576,9 +589,12 @@ SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 }  // namespace detail
 
 /// y = A x with A in tiled form and x in tiled vector form (CSR form).
+/// Throws std::invalid_argument unless x has one entry per column of A and
+/// A's tile size (detail::require_operand).
 template <typename T>
 SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
                          SpmspvWorkspace<T>& ws, ThreadPool* pool = nullptr) {
+  detail::require_operand(x, a.cols, a.nt, "tile_spmspv");
   return detail::csr_spmspv(a, x, ws, pool, "csr", nullptr, false);
 }
 
@@ -597,7 +613,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 /// unmasked (output positions are unknown until computed); the fusion
 /// saves the intermediate vector materialization and the second merge
 /// pass of mask(tile_spmspv(...), m). Throws std::invalid_argument unless
-/// the mask has one entry per row of A.
+/// the mask has one entry per row of A and x fits A (as tile_spmspv).
 template <typename T>
 SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
                                 const TileVector<T>& x,
@@ -608,6 +624,7 @@ SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
     throw std::invalid_argument(
         "tile_spmspv_masked: mask length must equal the matrix rows");
   }
+  detail::require_operand(x, a.cols, a.nt, "tile_spmspv_masked");
   return detail::csr_spmspv(a, x, ws, pool, "masked", &mask_dense,
                             complement);
 }
@@ -629,16 +646,20 @@ SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
 /// into input-derived ranges, each range scatters its tiled and side parts
 /// into its own bucket, and the gather sums the buckets in range order.
 /// The result holds every output whose value differs from S::zero().
+/// Throws std::invalid_argument unless x has one entry per row of Aᵀ and
+/// Aᵀ's tile size (detail::require_operand).
 template <typename T, typename S>
 SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
                              SpmspvWorkspace<T, S>& ws,
                              ThreadPool* pool = nullptr) {
+  detail::require_operand(x, at.rows, at.nt, "tile_spmspv_csc");
   const index_t nt = at.nt;
   const index_t out_n = at.cols;  // rows of A
   const index_t out_tiles = at.tile_cols;
   ThreadPool& p = pool ? *pool : ThreadPool::shared();
   const std::size_t stride =
       static_cast<std::size_t>(out_tiles) * static_cast<std::size_t>(nt);
+  const index_t words = ceil_div<index_t>(out_tiles, 64);
   const bool has_side = at.extracted.nnz() > 0;
 
   // Active tile columns of A = non-empty tiles of x = tile rows of Aᵀ with
@@ -649,10 +670,9 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
     return at.side_row_ptr[std::min<index_t>(s * nt, at.rows)];
   };
   ws.active.clear();
-  for (index_t s = 0; s < x.num_tiles() && s < at.tile_rows; ++s) {
-    if (x.x_ptr[s] != kEmptyTile &&
-        (at.tile_row_ptr[s] < at.tile_row_ptr[s + 1] ||
-         (has_side && side_begin(s) < side_begin(s + 1)))) {
+  for (const index_t s : x.tiles) {
+    if (at.tile_row_ptr[s] < at.tile_row_ptr[s + 1] ||
+        (has_side && side_begin(s) < side_begin(s + 1))) {
       ws.active.push_back(s);
     }
   }
@@ -676,13 +696,14 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
           std::vector<T>& pv = ws.priv_vals[k];
           index_t* slot =
               ws.priv_slot.data() + static_cast<std::size_t>(k) * out_tiles;
-          std::vector<index_t>& plist = ws.priv_list[k];
+          std::uint64_t* bits =
+              ws.priv_bits.data() + static_cast<std::size_t>(k) * words;
           // Output tile ot's block in this range, S::zero()-filled on first
           // touch. Only valid until the next first touch grows pv.
           const auto block = [&](index_t ot) {
             if (slot[ot] == kEmptyTile) {
-              slot[ot] = static_cast<index_t>(plist.size());
-              plist.push_back(ot);
+              slot[ot] = static_cast<index_t>(pv.size() / nt);
+              bits[ot / 64] |= std::uint64_t{1} << (ot % 64);
               pv.resize(pv.size() + static_cast<std::size_t>(nt), S::zero());
             }
             return pv.data() + static_cast<std::size_t>(slot[ot]) * nt;
@@ -692,6 +713,15 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
             const index_t s = ws.active[ai];
             const T* xt =
                 &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
+            // x's nonzero local indices, listed once per x tile, so an Aᵀ
+            // tile costs x's nonzeros in the tile rather than nt probes.
+            std::uint8_t nz[256];  // nt <= 256 by TileMatrix invariant
+            int nnz_x = 0;
+            for (index_t lj = 0; lj < nt; ++lj) {
+              if (xt[lj] != S::zero()) {
+                nz[nnz_x++] = static_cast<std::uint8_t>(lj);
+              }
+            }
             // Tiled part.
             for (offset_t t = at.tile_row_ptr[s]; t < at.tile_row_ptr[s + 1];
                  ++t) {
@@ -699,13 +729,13 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
               const std::uint16_t* rp = &at.intra_row_ptr[t * (nt + 1)];
               const offset_t base = at.tile_nnz_ptr[t];
               T* tb = nullptr;
-              for (index_t lj = 0; lj < nt; ++lj) {  // local input index
-                const T xv = xt[lj];
-                if (xv == S::zero()) continue;
+              for (int q = 0; q < nnz_x; ++q) {
+                const index_t lj = nz[q];  // local input index
                 const int b = rp[lj], e = rp[lj + 1];
                 if (e == b) continue;
                 macs += static_cast<std::uint64_t>(e - b);
                 if (tb == nullptr) tb = block(at.tile_col_id[t]);
+                const T xv = xt[lj];
                 for (offset_t i = base + b; i < base + e; ++i) {
                   T& out = tb[at.local_col[i]];
                   out = S::add(out, S::mul(at.vals[i], xv));
@@ -714,11 +744,10 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
             }
             if (!has_side) continue;
             // Side part: output i is element i % nt of tile i / nt.
-            for (index_t lj = 0; lj < nt; ++lj) {
-              const index_t j = s * nt + lj;
+            for (int q = 0; q < nnz_x; ++q) {
+              const index_t j = s * nt + nz[q];
               if (j >= at.rows) break;
-              const T xv = xt[lj];
-              if (xv == S::zero()) continue;
+              const T xv = xt[nz[q]];
               side += static_cast<std::uint64_t>(at.side_row_ptr[j + 1] -
                                                  at.side_row_ptr[j]);
               for (offset_t e = at.side_row_ptr[j]; e < at.side_row_ptr[j + 1];
@@ -739,62 +768,63 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
         &p, /*chunk=*/1);
   }
 
-  // Phase 3: merge the range buckets and gather, driven by the union of
-  // the per-range touched lists — cost proportional to the tiles the
-  // multiply actually produced, never to the output tile grid. Sorting the
-  // union keeps the emitted indices ordered; each candidate tile is owned
-  // by exactly one gather range, which sums its blocks in bucket order and
-  // resets its slots without synchronization.
+  // Phase 3: merge the range buckets and gather, driven by the ranges'
+  // bitmaps: a word's candidates are the OR of the ranges' words, and a
+  // candidate reads only the buckets whose bit is set, in bucket order.
+  // Walking the words in order emits indices in order with no sort; each
+  // word is owned by one gather range, which sums its blocks and resets
+  // their bits and slots without synchronization.
   obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "csc");
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(out_tiles));
   SparseVec<T> y(out_n);
-  unsigned char* mflag = ws.tile_flag.data();
-  ws.active.clear();  // the range loop is done with it; reuse for the union
+  // The touched (range, tile) blocks bound the candidate count from above,
+  // as does the output tile count.
+  std::size_t blocks = 0;
   for (index_t bk = 0; bk < buckets; ++bk) {
-    for (const index_t ot : ws.priv_list[bk]) {
-      if (!mflag[ot]) {
-        mflag[ot] = 1;
-        ws.active.push_back(ot);
-      }
-    }
-    ws.priv_list[bk].clear();
+    blocks += ws.priv_vals[bk].size() / static_cast<std::size_t>(nt);
   }
-  std::sort(ws.active.begin(), ws.active.end());
-  const std::vector<index_t>& cand = ws.active;
-  const auto ncand = static_cast<index_t>(cand.size());
+  const auto max_cand = static_cast<index_t>(
+      std::min(blocks, static_cast<std::size_t>(out_tiles)));
 
-  const auto merge_range = [&](index_t c_begin, index_t c_end,
+  const auto merge_words = [&](index_t w_begin, index_t w_end,
                                std::vector<index_t>& out_idx,
                                std::vector<T>& out_vals) {
-    out_idx.reserve(out_idx.size() +
-                    static_cast<std::size_t>(c_end - c_begin) * nt);
-    out_vals.reserve(out_vals.size() +
-                     static_cast<std::size_t>(c_end - c_begin) * nt);
     T merged[256];  // nt <= 256 by TileMatrix invariant
-    for (index_t ci = c_begin; ci < c_end; ++ci) {
-      const index_t ot = cand[ci];
-      mflag[ot] = 0;
-      bool any = false;
+    for (index_t w = w_begin; w < w_end; ++w) {
+      std::uint64_t wb[detail::kMaxRanges];  // each range's word w, cleared
+      std::uint64_t cand = 0;
       for (index_t bk = 0; bk < buckets; ++bk) {
-        index_t& slot =
-            ws.priv_slot[static_cast<std::size_t>(bk) * out_tiles + ot];
-        if (slot == kEmptyTile) continue;
-        const T* tb =
-            ws.priv_vals[bk].data() + static_cast<std::size_t>(slot) * nt;
-        slot = kEmptyTile;
-        for (index_t i = 0; i < nt; ++i) {
-          merged[i] = any ? S::add(merged[i], tb[i]) : tb[i];
-        }
-        any = true;
+        std::uint64_t& word =
+            ws.priv_bits[static_cast<std::size_t>(bk) * words + w];
+        wb[bk] = word;
+        cand |= word;
+        if (word != 0) word = 0;
       }
-      if (!any) continue;  // unreachable: every listed tile has a bucket
-      const index_t r_begin = ot * nt;
-      const index_t r_end = std::min<index_t>(r_begin + nt, out_n);
-      for (index_t r = r_begin; r < r_end; ++r) {
-        if (merged[r - r_begin] != S::zero()) {
-          out_idx.push_back(r);
-          out_vals.push_back(merged[r - r_begin]);
+      while (cand != 0) {
+        const int b = std::countr_zero(cand);
+        cand &= cand - 1;
+        const index_t ot = w * 64 + b;
+        bool any = false;
+        for (index_t bk = 0; bk < buckets; ++bk) {
+          if (!(wb[bk] >> b & 1)) continue;
+          index_t& slot =
+              ws.priv_slot[static_cast<std::size_t>(bk) * out_tiles + ot];
+          const T* tb =
+              ws.priv_vals[bk].data() + static_cast<std::size_t>(slot) * nt;
+          slot = kEmptyTile;
+          for (index_t i = 0; i < nt; ++i) {
+            merged[i] = any ? S::add(merged[i], tb[i]) : tb[i];
+          }
+          any = true;
+        }
+        const index_t r_begin = ot * nt;
+        const index_t r_end = std::min<index_t>(r_begin + nt, out_n);
+        for (index_t r = r_begin; r < r_end; ++r) {
+          if (merged[r - r_begin] != S::zero()) {
+            out_idx.push_back(r);
+            out_vals.push_back(merged[r - r_begin]);
+          }
         }
       }
     }
@@ -802,19 +832,23 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
 
   // A candidate's bucket lines were last written by the range task's
   // worker, so each costs cross-core reads: split the merge from a few
-  // hundred candidates, well below the CSR gather's flag-scan threshold.
-  const index_t ranges = detail::gather_ranges(ncand, p, /*min_tiles=*/256);
+  // hundred touched blocks, well below the CSR gather's flag-scan
+  // threshold.
+  const index_t ranges = std::min<index_t>(
+      words, detail::gather_ranges(max_cand, p, /*min_tiles=*/256));
   if (ranges <= 1) {
-    merge_range(0, ncand, y.idx, y.vals);
+    y.idx.reserve(static_cast<std::size_t>(max_cand) * nt);
+    y.vals.reserve(static_cast<std::size_t>(max_cand) * nt);
+    merge_words(0, words, y.idx, y.vals);
   } else {
     ws.gather.ensure(ranges);
-    const index_t per = ceil_div(ncand, ranges);
+    const index_t per = ceil_div(words, ranges);
     parallel_for(
         ranges,
         [&](index_t r) {
-          const index_t c_begin = std::min<index_t>(r * per, ncand);
-          const index_t c_end = std::min<index_t>(c_begin + per, ncand);
-          merge_range(c_begin, c_end, ws.gather.idx[r], ws.gather.vals[r]);
+          const index_t w_begin = std::min<index_t>(r * per, words);
+          const index_t w_end = std::min<index_t>(w_begin + per, words);
+          merge_words(w_begin, w_end, ws.gather.idx[r], ws.gather.vals[r]);
         },
         &p, /*chunk=*/1);
     detail::splice_ranges(ranges, ws.gather, &p, y);

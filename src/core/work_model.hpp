@@ -39,8 +39,7 @@ SpmspvWork work_tile_spmspv_csr(const TileMatrix<T>& a,
       w.payload_macs += a.tile_nnz_ptr[t + 1] - a.tile_nnz_ptr[t];
     }
   }
-  for (index_t s = 0; s < x.num_tiles(); ++s) {
-    if (x.x_ptr[s] == kEmptyTile) continue;
+  for (const index_t s : x.tiles) {
     const index_t j_begin = s * x.nt;
     const index_t j_end = std::min<index_t>(j_begin + x.nt, a.cols);
     w.side_macs += a.side_col_ptr[j_end] - a.side_col_ptr[j_begin];
@@ -56,8 +55,8 @@ template <typename T>
 SpmspvWork work_tile_spmspv_csc(const TileMatrix<T>& at,
                                 const TileVector<T>& x) {
   SpmspvWork w;
-  for (index_t s = 0; s < x.num_tiles(); ++s) {
-    if (x.x_ptr[s] == kEmptyTile || s >= at.tile_rows) continue;
+  for (const index_t s : x.tiles) {
+    if (s >= at.tile_rows) continue;
     for (offset_t t = at.tile_row_ptr[s]; t < at.tile_row_ptr[s + 1]; ++t) {
       ++w.tiles_scanned;
       ++w.tiles_computed;

@@ -299,7 +299,8 @@ ValidationResult validate_sparse_vec(const V& x) {
 }
 
 /// Tiled sparse vector (paper Fig. 3): slot map covers ceil(n/nt) tiles,
-/// compact slots form a permutation of the stored tile blocks, the last
+/// compact slots form a permutation of the stored tile blocks, the tile
+/// list names each slot's tile in strictly increasing order, the last
 /// partial tile is zero-padded past n, and nnz matches the stored payload.
 template <typename V>
 ValidationResult validate_tile_vector(const V& v) {
@@ -350,6 +351,30 @@ ValidationResult validate_tile_vector(const V& v) {
           std::to_string(slots) + " stored tile blocks but only " +
               std::to_string(used) + " referenced");
     return r;
+  }
+  // The tile list inverts x_ptr: one entry per slot, in tile order.
+  if (v.tiles.size() != static_cast<std::size_t>(slots)) {
+    r.add("tiles/length", "expected " + std::to_string(slots) +
+                              " tile ids, got " +
+                              std::to_string(v.tiles.size()));
+    return r;
+  }
+  for (std::size_t k = 1; k < v.tiles.size(); ++k) {
+    if (v.tiles[k] <= v.tiles[k - 1]) {
+      r.add("tiles/sorted", "tile ids not strictly increasing at slot " +
+                                std::to_string(k));
+      return r;
+    }
+  }
+  for (std::size_t k = 0; k < v.tiles.size(); ++k) {
+    const index_t t = v.tiles[k];
+    if (t < 0 || static_cast<std::size_t>(t) >= tiles ||
+        v.x_ptr[static_cast<std::size_t>(t)] != static_cast<index_t>(k)) {
+      r.add("tiles/agreement", "slot " + std::to_string(k) + " lists tile " +
+                                   std::to_string(t) +
+                                   ", whose x_ptr entry is not that slot");
+      return r;
+    }
   }
   // Zero padding past n in the last partial tile.
   if (v.n % v.nt != 0 && !v.x_ptr.empty() && v.x_ptr.back() != kEmptyTile) {

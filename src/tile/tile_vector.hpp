@@ -4,10 +4,15 @@
 // remaining tiles are stored densely and contiguously in `x_tile`, while
 // `x_ptr` maps each tile slot to its compact position (or -1 when empty).
 // Element i is recovered as x_tile[x_ptr[i/nt]*nt + i%nt] — the O(1)
-// positioning the TileSpMSpV kernel relies on to skip work.
+// positioning the TileSpMSpV kernel relies on to skip work. `tiles` is the
+// inverse map, the non-empty tile ids in slot order, so vector-driven work
+// walks x's non-empty tiles without scanning all ceil(n/nt) slots.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -29,6 +34,7 @@ struct TileVector {
   index_t nnz = 0;            // nonzeros of the source vector
   std::vector<index_t> x_ptr; // ceil(n/nt) slots: compact index or kEmptyTile
   std::vector<T> x_tile;      // non-empty tiles, nt values each
+  std::vector<index_t> tiles; // tile id of each slot; slot order = tile order
 
   /// True vector sparsity nnz/n (the quantity the paper's kernel
   /// selection compares against its thresholds).
@@ -58,42 +64,62 @@ struct TileVector {
 
   /// Builds the tiled form from a plain sparse vector. Tolerates input
   /// that falls short of SparseVec's invariant — unsorted indices,
-  /// duplicates (later entries win) and explicit zero values: slot
-  /// numbering is derived in tile order regardless of input order, and
-  /// nnz counts the nonzeros actually stored, so the result always meets
-  /// the tiled validator's invariants.
-  static TileVector from_sparse(const SparseVec<T>& x, index_t nt) {
+  /// duplicates (later entries win) and explicit zero values: slots are
+  /// numbered in tile order regardless of input order, and nnz counts the
+  /// stored values that differ from `fill`. Throws std::out_of_range on an
+  /// index outside [0, n).
+  ///
+  /// `fill` is the value of the unset positions inside non-empty tiles:
+  /// T{} for plus-times, S::zero() for a semiring whose identity is not
+  /// T{} (min-plus). Only a T{}-filled vector meets validate_tile_vector's
+  /// padding and nnz invariants; the slot structure is the same either way.
+  static TileVector from_sparse(const SparseVec<T>& x, index_t nt,
+                                T fill = T{}) {
     TileVector v;
     v.n = x.n;
     v.nt = nt;
-    const index_t tiles = ceil_div(x.n, nt);
-    v.x_ptr.assign(tiles, kEmptyTile);
-    // Pass 1: mark the touched tiles, then number the compact slots in a
-    // separate tile-order scan (the paper's 0,1,2,... numbering) — a
-    // single first-appearance pass would scramble the order for unsorted
-    // input.
-    for (index_t i : x.idx) {
-      assert(i >= 0 && i < x.n);
-      v.x_ptr[i / nt] = 0;
+    v.x_ptr.assign(ceil_div(x.n, nt), kEmptyTile);
+    // Pass 1: number the touched tiles by first appearance, which is tile
+    // order when x is sorted (SparseVec's invariant); otherwise sort the
+    // tile list and renumber, so the numbering is the paper's 0,1,2,... in
+    // tile order either way.
+    v.tiles.reserve(std::min(x.idx.size(), v.x_ptr.size()));
+    bool in_order = true;
+    for (const index_t i : x.idx) {
+      if (i < 0 || i >= x.n) {
+        throw std::out_of_range("TileVector::from_sparse: index " +
+                                std::to_string(i) + " outside [0, " +
+                                std::to_string(x.n) + ")");
+      }
+      const index_t t = i / nt;
+      if (v.x_ptr[t] != kEmptyTile) continue;
+      if (!v.tiles.empty() && t < v.tiles.back()) in_order = false;
+      v.x_ptr[t] = static_cast<index_t>(v.tiles.size());
+      v.tiles.push_back(t);
     }
-    index_t slots = 0;
-    for (index_t t = 0; t < tiles; ++t) {
-      if (v.x_ptr[t] != kEmptyTile) v.x_ptr[t] = slots++;
+    if (!in_order) {
+      std::sort(v.tiles.begin(), v.tiles.end());
+      for (std::size_t k = 0; k < v.tiles.size(); ++k) {
+        v.x_ptr[v.tiles[k]] = static_cast<index_t>(k);
+      }
     }
-    // A nonzero in the last partial tile must not read past n, so tiles are
-    // zero-padded to a full nt.
-    v.x_tile.assign(static_cast<std::size_t>(slots) * nt, T{});
+    // Tiles are padded to a full nt, so a nonzero in the last partial tile
+    // never reads past n.
+    v.x_tile.assign(v.tiles.size() * static_cast<std::size_t>(nt), fill);
     index_t stored = 0;
     for (std::size_t k = 0; k < x.idx.size(); ++k) {
       const index_t i = x.idx[k];
-      T& cell = v.x_tile[v.x_ptr[i / nt] * nt + i % nt];
-      if (cell != T{}) --stored;  // duplicate overwrite: retract old count
+      T& cell = v.x_tile[static_cast<std::size_t>(v.x_ptr[i / nt]) * nt +
+                         i % nt];
+      if (cell != fill) --stored;  // duplicate overwrite: retract old count
       cell = x.vals[k];
-      if (cell != T{}) ++stored;
+      if (cell != fill) ++stored;
     }
     v.nnz = stored;
-    TILESPMSPV_POSTCONDITION(validate_tile_vector(v),
-                             "TileVector::from_sparse");
+    if (fill == T{}) {
+      TILESPMSPV_POSTCONDITION(validate_tile_vector(v),
+                               "TileVector::from_sparse");
+    }
     return v;
   }
 
@@ -101,10 +127,8 @@ struct TileVector {
   /// tiles are dropped, matching SparseVec's invariant).
   SparseVec<T> to_sparse() const {
     SparseVec<T> x(n);
-    for (index_t t = 0; t < num_tiles(); ++t) {
-      const index_t slot = x_ptr[t];
-      if (slot == kEmptyTile) continue;
-      const index_t base = t * nt;
+    for (std::size_t slot = 0; slot < tiles.size(); ++slot) {
+      const index_t base = tiles[slot] * nt;
       for (index_t j = 0; j < nt && base + j < n; ++j) {
         const T v = x_tile[slot * nt + j];
         if (v != T{}) x.push(base + j, v);

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 #include "formats/sparse_vector.hpp"
@@ -124,19 +125,29 @@ struct TileVectorBlock {
   }
 
   /// Builds the block straight from plain sparse vectors; the per-lane
-  /// TileVector conversions run in parallel (they are independent).
+  /// TileVector conversions run in parallel (they are independent). A
+  /// lane's conversion error (std::out_of_range on an index outside
+  /// [0, n)) is rethrown on the caller, the first lane's first.
   static TileVectorBlock from_sparse(const std::vector<SparseVec<T>>& xs,
                                      index_t nt, ThreadPool* pool = nullptr) {
     const auto k = static_cast<index_t>(xs.size());
     assert(k <= kMaxLanes);
     std::vector<TileVector<T>> tiled(static_cast<std::size_t>(k));
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(k));
     parallel_for(
         k,
         [&](index_t v) {
-          tiled[static_cast<std::size_t>(v)] =
-              TileVector<T>::from_sparse(xs[static_cast<std::size_t>(v)], nt);
+          const auto lane = static_cast<std::size_t>(v);
+          try {
+            tiled[lane] = TileVector<T>::from_sparse(xs[lane], nt);
+          } catch (...) {
+            errors[lane] = std::current_exception();
+          }
         },
         pool, /*chunk=*/1);
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
     return from_tiled(tiled.data(), k, pool);
   }
 

@@ -11,6 +11,7 @@
 // and any lost update breaks the exact-value checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -142,9 +143,10 @@ TEST(CscMerge, ManyColumnsFewOutputTilesAllPoolSizes) {
 }
 
 // The workspace invariant the kernel relies on: between calls every range
-// bucket is empty and every slot map entry is kEmptyTile, so a stale block
-// or slot from a racy or skipped reset would poison the next multiply.
-// Alternating two different vectors on one workspace catches exactly that.
+// bucket is empty, every slot map entry is kEmptyTile and every bitmap word
+// is zero, so a stale block, slot or bit from a racy or skipped reset would
+// poison the next multiply. Alternating two different vectors on one
+// workspace catches exactly that.
 TEST(CscMerge, WorkspaceBucketsAreCleanBetweenCalls) {
   const Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(300, 300, 0.03, 11));
@@ -162,7 +164,48 @@ TEST(CscMerge, WorkspaceBucketsAreCleanBetweenCalls) {
         << "rep=" << rep;
     for (const auto& vals : ws.priv_vals) ASSERT_TRUE(vals.empty());
     for (const index_t slot : ws.priv_slot) ASSERT_EQ(slot, kEmptyTile);
-    for (const auto& list : ws.priv_list) ASSERT_TRUE(list.empty());
+    for (const std::uint64_t word : ws.priv_bits) ASSERT_EQ(word, 0u);
+  }
+}
+
+// The merge walks the ranges' bitmaps a 64-tile word at a time. Here the
+// output has 131 tiles (two full words and a partial third, whose last
+// tile is itself partial), and x reaches the last tile on both sides.
+// Every tile of A is stored (no extraction), so every active x tile weighs
+// the same: x in the last tile alone is cut into 1 range, and x in the
+// last 128 tiles into the full 16. Each must give the reference and, on
+// every pool, bitwise the 1-thread result.
+TEST(CscMerge, PartialLastBitmapWord) {
+  const index_t n = 131 * 16 - 8;
+  const Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(n, n, 0.05, 61));
+  const TileMatrix<value_t> at =
+      TileMatrix<value_t>::from_csr(a.transpose(), 16, 0);
+  ASSERT_EQ(at.tile_cols, 131);
+  ASSERT_EQ(at.num_tiles(), 131 * 131);
+
+  SparseVec<value_t> last_tile(n);
+  for (index_t i = n - 8; i < n; ++i) last_tile.push(i, 1.0 + i % 3);
+  SparseVec<value_t> spread(n);
+  for (index_t t = 3; t < 131; ++t) spread.push(t * 16 + t % 8, 0.5 + t % 4);
+
+  for (const auto& [x, ranges] :
+       {std::pair{last_tile, 1}, std::pair{spread, 16}}) {
+    const TileVector<value_t> xt = TileVector<value_t>::from_sparse(x, 16);
+    const SparseVec<value_t> expect = spmspv_rowwise_reference(a, x);
+    ASSERT_FALSE(expect.idx.empty());
+    ASSERT_EQ(expect.idx.back() / 16, 130) << "output misses the last tile";
+    ThreadPool serial(1);
+    SpmspvWorkspace<value_t> ws;
+    const SparseVec<value_t> first = tile_spmspv_csc(at, xt, ws, &serial);
+    // range_ptr keeps the last multiply's cut.
+    ASSERT_EQ(static_cast<int>(ws.range_ptr.size()) - 1, ranges);
+    ASSERT_TRUE(approx_equal(first, expect)) << ranges << " ranges";
+    for (const int threads : {2, 4, 8}) {
+      ThreadPool pool(threads);
+      EXPECT_TRUE(bitwise_equal(tile_spmspv_csc(at, xt, ws, &pool), first))
+          << ranges << " ranges, " << threads << " threads";
+    }
   }
 }
 

@@ -59,8 +59,8 @@ TEST(Lint, EachSeededFixtureExitsNonzero) {
 TEST(Lint, FixturesCoverEveryRule) {
   const std::vector<std::string> rules = {
       "simd-twin",    "twin-fuzz",    "counter-doc",     "validator-fields",
-      "hot-path",     "raw-atomic",   "include-hygiene", "mapped-taint",
-      "shared-write", "lock-discipline", "clean"};
+      "hot-path",     "raw-atomic",   "core-atomic-add", "include-hygiene",
+      "mapped-taint", "shared-write", "lock-discipline", "clean"};
   for (const std::string& rule : rules) {
     bool found = false;
     for (const auto& ent : fs::directory_iterator(kFixtures)) {

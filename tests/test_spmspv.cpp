@@ -267,6 +267,64 @@ TEST(SpmspvOperator, ThreeTierSelection) {
   EXPECT_EQ(tier(0.6), SpmspvKernel::kDenseSpmv);
 }
 
+// kAuto reads tile occupancy, not sparsity: at the same sparsity 0.02, a
+// vector packed into a few tiles runs the vector-driven CSC form and one
+// spread over a third of the tiles runs the CSR form.
+TEST(SpmspvOperator, SelectsByTileOccupancy) {
+  Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(4000, 4000, 0.004, 198));
+  SpmspvOperator<value_t> op(a);
+  SparseVec<value_t> clustered(4000), spread(4000);
+  for (index_t i = 0; i < 80; ++i) {
+    clustered.push(1600 + i, 1.0 + i % 5);
+    spread.push(50 * i, 1.0 + i % 5);
+  }
+  const TileVector<value_t> xc = TileVector<value_t>::from_sparse(clustered, 16);
+  const TileVector<value_t> xs = TileVector<value_t>::from_sparse(spread, 16);
+  ASSERT_DOUBLE_EQ(xc.sparsity(), 0.02);
+  ASSERT_DOUBLE_EQ(xs.sparsity(), 0.02);
+  EXPECT_EQ(op.select(xc), SpmspvKernel::kCsc);
+  EXPECT_EQ(op.select(xs), SpmspvKernel::kCsr);
+  EXPECT_TRUE(approx_equal(op.multiply(clustered),
+                           spmspv_rowwise_reference(a, clustered)));
+  EXPECT_TRUE(
+      approx_equal(op.multiply(spread), spmspv_rowwise_reference(a, spread)));
+}
+
+// An x of the wrong length would have the kernels index x_ptr past its
+// end (the CSR form reads x_ptr[tile column of A]); every form rejects it
+// in Release builds too, as does a tile list out of step with the slots,
+// and the operator still multiplies correctly afterwards.
+TEST(SpmspvOperator, RejectsOperandOfWrongShape) {
+  Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(500, 600, 0.02, 200));
+  const TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
+  const TileMatrix<value_t> tiled_t =
+      TileMatrix<value_t>::from_csr(a.transpose(), 16, 2);
+  SpmspvWorkspace<value_t> ws;
+  const std::vector<bool> mask(500, true);
+  const TileVector<value_t> short_x =
+      TileVector<value_t>::from_sparse(gen_sparse_vector(40, 0.2, 24), 16);
+  TileVector<value_t> stale =
+      TileVector<value_t>::from_sparse(gen_sparse_vector(600, 0.05, 25), 16);
+  stale.tiles.pop_back();
+  for (const auto* x : std::vector<const TileVector<value_t>*>{&short_x, &stale}) {
+    EXPECT_THROW(tile_spmspv(tiled, *x, ws), std::invalid_argument);
+    EXPECT_THROW(tile_spmspv_masked(tiled, *x, mask, false, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(tile_spmspv_csc(tiled_t, *x, ws), std::invalid_argument);
+  }
+  for (const SpmspvKernel k : {SpmspvKernel::kAuto, SpmspvKernel::kCsr,
+                               SpmspvKernel::kCsc, SpmspvKernel::kDenseSpmv}) {
+    SpmspvConfig cfg;
+    cfg.kernel = k;
+    SpmspvOperator<value_t> op(a, cfg);
+    EXPECT_THROW(op.multiply(short_x), std::invalid_argument);
+    const SparseVec<value_t> x = gen_sparse_vector(600, 0.05, 26);
+    EXPECT_TRUE(approx_equal(op.multiply(x), spmspv_rowwise_reference(a, x)));
+  }
+}
+
 TEST(SpmspvOperator, ForcedDenseSpmvMatchesReference) {
   Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(700, 600, 0.02, 199));

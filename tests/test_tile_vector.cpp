@@ -5,6 +5,7 @@
 #include "formats/sparse_vector.hpp"
 #include "gen/vector_gen.hpp"
 #include "tile/tile_vector.hpp"
+#include "tile/tile_vector_block.hpp"
 
 namespace tilespmspv {
 namespace {
@@ -88,6 +89,48 @@ TEST(TileVector, LastPartialTilePadsWithZeros) {
   EXPECT_EQ(v.at(9), 7.0);
   SparseVec<value_t> back = v.to_sparse();
   EXPECT_EQ(back.idx, (std::vector<index_t>{9}));
+}
+
+// `tiles` lists each slot's tile in slot order, which is tile order, for
+// sorted input and for the unsorted input from_sparse also accepts.
+TEST(TileVector, TileListInvertsSlotMap) {
+  const SparseVec<value_t> x = gen_sparse_vector(1000, 0.02, 5);
+  const TileVector<value_t> v = TileVector<value_t>::from_sparse(x, 16);
+  ASSERT_EQ(static_cast<index_t>(v.tiles.size()), v.num_nonempty_tiles());
+  std::vector<index_t> expect;
+  for (index_t t = 0; t < v.num_tiles(); ++t) {
+    if (v.x_ptr[t] != kEmptyTile) expect.push_back(t);
+  }
+  EXPECT_EQ(v.tiles, expect);
+
+  SparseVec<value_t> shuffled(1000);
+  for (std::size_t k = x.idx.size(); k-- > 0;) {
+    shuffled.idx.push_back(x.idx[k]);
+    shuffled.vals.push_back(x.vals[k]);
+  }
+  const TileVector<value_t> u = TileVector<value_t>::from_sparse(shuffled, 16);
+  EXPECT_EQ(u.tiles, v.tiles);
+  EXPECT_EQ(u.x_ptr, v.x_ptr);
+  EXPECT_EQ(u.x_tile, v.x_tile);
+  EXPECT_TRUE(validate_tile_vector(u).ok());
+}
+
+// An index outside [0, n) would write outside x_tile; the check holds in
+// Release builds, and the block builder passes a lane's error through.
+TEST(TileVector, RejectsIndexOutsideLength) {
+  for (const index_t bad : {index_t{20}, index_t{-1}}) {
+    SparseVec<value_t> x(20);
+    x.idx = {3, bad};
+    x.vals = {1.0, 2.0};
+    EXPECT_THROW(TileVector<value_t>::from_sparse(x, 16), std::out_of_range)
+        << bad;
+    ThreadPool pool(4);
+    const std::vector<SparseVec<value_t>> lanes = {
+        gen_sparse_vector(20, 0.3, 1), x, gen_sparse_vector(20, 0.3, 2)};
+    EXPECT_THROW(TileVectorBlock<value_t>::from_sparse(lanes, 16, &pool),
+                 std::out_of_range)
+        << bad;
+  }
 }
 
 TEST(TileVector, TileDensityMatchesDefinition) {

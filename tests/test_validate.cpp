@@ -165,6 +165,26 @@ TEST(ValidateTileVector, CatchesSlotViolations) {
   expect_issue(validate_tile_vector(bad), "nnz/agreement");
 }
 
+TEST(ValidateTileVector, CatchesTileListViolations) {
+  const auto x = gen_sparse_vector(210, 0.2, 7);
+  const auto v = TileVector<value_t>::from_sparse(x, 16);
+  ASSERT_GE(v.num_nonempty_tiles(), 3);
+
+  auto bad = v;
+  bad.tiles.pop_back();
+  expect_issue(validate_tile_vector(bad), "tiles/length");
+
+  bad = v;
+  std::swap(bad.tiles[0], bad.tiles[1]);
+  expect_issue(validate_tile_vector(bad), "tiles/sorted");
+
+  // Slots numbered out of tile order: the list is still increasing, but
+  // x_ptr no longer maps its first tile to slot 0.
+  bad = v;
+  std::swap(bad.x_ptr[bad.tiles[0]], bad.x_ptr[bad.tiles[1]]);
+  expect_issue(validate_tile_vector(bad), "tiles/agreement");
+}
+
 TEST(ValidateTileVector, CatchesNonzeroPadding) {
   SparseVec<value_t> x(20);  // 20 % 16 != 0: last tile is partial
   x.push(1, 1.0);

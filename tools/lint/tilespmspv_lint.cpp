@@ -20,6 +20,9 @@
 //   hot-path          no heap allocation, container growth, or
 //                     std::function inside `// lint:hot-path` regions
 //   raw-atomic        no raw std::atomic outside parallel/atomics.hpp
+//   core-atomic-add   no atomic_add under src/core: a float sum whose
+//                     order follows thread timing is not bitwise
+//                     reproducible
 //   include-hygiene   no <iostream> in headers under src/tile, src/core,
 //                     src/bfs
 //   mapped-taint      flow-aware: values originating in mmapped tile-file
@@ -789,6 +792,24 @@ void rule_raw_atomic(const Tree& t, std::vector<Violation>& out) {
                        "the atomic_* helpers or annotate why not"});
       }
       p += 11;
+    }
+  }
+}
+
+void rule_core_atomic_add(const Tree& t, std::vector<Violation>& out) {
+  for (const SourceFile& f : t.files) {
+    if (f.rel.rfind("src/core/", 0) != 0) continue;
+    const std::vector<std::string> raw_lines = split_lines(f.raw);
+    std::size_t p = 0;
+    while ((p = find_word(f.code, "atomic_add", p)) != std::string::npos) {
+      const int line = f.line_at[p];
+      if (!allowed(raw_lines, line, "core-atomic-add")) {
+        out.push_back({f.rel, line, "core-atomic-add",
+                       "atomic_add under src/core — its summation order "
+                       "follows thread timing; combine per-range partial "
+                       "results in range order instead"});
+      }
+      p += 10;
     }
   }
 }
@@ -1940,6 +1961,7 @@ std::vector<Violation> lint_tree(const fs::path& root) {
   rule_validator_fields(t, out);
   rule_hot_path(t, out);
   rule_raw_atomic(t, out);
+  rule_core_atomic_add(t, out);
   rule_include_hygiene(t, out);
   rule_mapped_taint(t, out);
   rule_shared_write(t, out);
