@@ -11,8 +11,8 @@
 //      owns an nt×k accumulator block (per pool slot, hoisted in the
 //      workspace) written to the rows×k dense output once per tile row,
 //      with the row's union lane mask stored in row_mask;
-//   2. extracted side COO — block-wide, parallel over nnz-weighted chunks
-//      of the active tile slots, atomically merging into the same output;
+//   2. extracted side COO — the CSR form's side pass (detail::side_pass)
+//      at k lanes, so every lane's sum has one order on any pool or run;
 //   3. gather — parallel over lanes; each lane counts its flagged tile
 //      rows first (prefix sizing, no geometric reallocation), then emits
 //      its nonzeros and restores the all-zero workspace invariant.
@@ -24,14 +24,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "core/tile_spmspv.hpp"
 #include "formats/sparse_vector.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/tile_chunks.hpp"
 #include "tile/tile_matrix.hpp"
@@ -46,15 +47,16 @@ namespace tilespmspv {
 /// Reusable buffers for the block engine, following the SpmspvWorkspace
 /// discipline: steady-state multiplies allocate nothing, and cost stays
 /// proportional to the touched rows. Invariants between calls: y_block and
-/// row_mask are all-zero (the gather restores them); acc, active and
-/// side_chunks hold garbage.
+/// row_mask are all-zero (the gather restores them), the side lists are
+/// empty; acc, active and range_ptr hold garbage.
 template <typename T = value_t>
 struct SpmspmWorkspace {
   std::vector<T> y_block;               // rows * k dense output, all-zero
   std::vector<std::uint64_t> row_mask;  // per tile row: union lane mask
   std::vector<T> acc;                   // pool slots * nt * k accumulators
-  std::vector<index_t> active;          // hoisted active-slot list (phase 2)
-  std::vector<index_t> side_chunks;     // hoisted nnz-weighted chunk bounds
+  std::vector<index_t> active;          // x's non-empty tiles (phase 2)
+  std::vector<index_t> range_ptr;       // side-pass range boundaries
+  GatherScratch<T> gather;              // side-pass per-range lists
 
   void ensure(index_t rows, index_t tile_rows, index_t k, index_t nt,
               int pool_slots) {
@@ -186,7 +188,9 @@ inline void block_tile_accumulate_lanes(const T* vals, const std::uint8_t* cols,
 
 /// Y[v] = A * X.lane(v) for every lane of the block. Per lane, the result
 /// is numerically equivalent to tile_spmspv (same products, possibly
-/// different summation order).
+/// different summation order), and bitwise the same on any pool or run.
+/// Throws std::invalid_argument on an x that does not fit A
+/// (require_operand), std::length_error if rows × k overflows index_t.
 template <typename T>
 std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
                                       const TileVectorBlock<T>& x,
@@ -194,10 +198,12 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
                                       ThreadPool* pool = nullptr) {
   const index_t nt = a.nt;
   const index_t k = x.k;
+  if (k == 0) return {};
+  detail::require_operand(x, a.cols, nt, "tile_spmspm");
   std::vector<SparseVec<T>> ys(static_cast<std::size_t>(k));
-  if (k == 0) return ys;
-  assert(x.nt == nt);
-  assert(ceil_div(x.n, nt) >= a.tile_cols || x.n == a.cols);
+  if (static_cast<offset_t>(a.rows) * k > std::numeric_limits<index_t>::max()) {
+    throw std::length_error("tile_spmspm: rows * k overflows a side cell");
+  }
   ThreadPool& p = pool ? *pool : ThreadPool::shared();
   ws.ensure(a.rows, a.tile_rows, k, nt, static_cast<int>(p.size()));
   T* yb = ws.y_block.data();
@@ -298,69 +304,21 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
         &p, /*chunk=*/1);
   }
 
-  // Phase 2: extracted side part, block-wide. Active tile slots are listed
-  // once for the whole block and cut into side-nnz-weighted chunks; each
-  // column's contributing lane mask is computed once, then every side
-  // entry scatters that mask's lanes atomically (several chunks can hit
-  // the same output row).
+  // Phase 2: the extracted side part, the CSR form's side pass at k lanes
+  // over the block's tile list (slot order is tile order, so entry i is
+  // slot i). Cell r·k + v is lane v of row r.
   if (a.extracted.nnz() > 0) {
     obs::TraceSpan span("spmspv/phase2_side", "spmspv", "block");
     ws.active.resize(static_cast<std::size_t>(x.num_tiles()));
-    const index_t nact = bitk::collect_nonzero(x.active.data(), x.num_tiles(),
-                                               0, ws.active.data());
-    const index_t* active = ws.active.data();
-    build_weighted_chunks_into(
-        ws.side_chunks, nact, kChunkTargetWork, [&](index_t ai) {
-          const index_t j_begin = active[ai] * nt;
-          const index_t j_end = std::min<index_t>(j_begin + nt, a.cols);
-          return a.side_col_ptr[j_end] - a.side_col_ptr[j_begin];
+    ws.active.resize(static_cast<std::size_t>(bitk::collect_nonzero(
+        x.active.data(), x.num_tiles(), 0, ws.active.data())));
+    detail::side_pass(
+        a, ws.active, x.x_tile.data(), k,
+        [&](index_t s) { return x.active[s]; }, ws.range_ptr, ws.gather, &p,
+        [&](index_t cell, T prod) {
+          yb[cell] += prod;
+          rmask[cell / k / nt] |= std::uint64_t{1} << (cell % k);
         });
-    const auto nsc = static_cast<index_t>(ws.side_chunks.size()) - 1;
-    const index_t* side_chunk = ws.side_chunks.data();
-    parallel_for(
-        nsc,
-        [&](index_t c) {
-          std::uint64_t side = 0;
-          for (index_t ai = side_chunk[c]; ai < side_chunk[c + 1]; ++ai) {
-            const index_t s = active[ai];
-            const std::uint64_t word = x.active[s];
-            const T* xt = x.x_tile.data() +
-                          static_cast<std::size_t>(x.x_ptr[s]) * nt *
-                              static_cast<std::size_t>(k);
-            for (index_t lj = 0; lj < nt; ++lj) {
-              const index_t j = s * nt + lj;
-              if (j >= a.cols) break;
-              const offset_t e_begin = a.side_col_ptr[j];
-              const offset_t e_end = a.side_col_ptr[j + 1];
-              if (e_begin == e_end) continue;
-              const T* xrow = xt + static_cast<std::size_t>(lj) * k;
-              std::uint64_t colmask = 0;
-              for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
-                const int v = std::countr_zero(bits);
-                if (xrow[v] != T{}) colmask |= std::uint64_t{1} << v;
-              }
-              if (colmask == 0) continue;
-              side += static_cast<std::uint64_t>(e_end - e_begin) *
-                      static_cast<std::uint64_t>(popcount(colmask));
-              for (offset_t i = e_begin; i < e_end; ++i) {
-                const index_t r = a.side_row_idx[i];
-                const T av = a.side_vals[i];
-                T* yrow = yb + static_cast<std::size_t>(r) * k;
-                for (std::uint64_t bits = colmask; bits != 0;
-                     bits &= bits - 1) {
-                  const int v = std::countr_zero(bits);
-                  // Order-dependent float sum (ROADMAP item 1: per-range
-                  // lists applied in range order would fix it).
-                  // lint:allow(core-atomic-add)
-                  atomic_add(&yrow[v], av * xrow[v]);
-                }
-                atomic_or(&rmask[r / nt], colmask);
-              }
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        &p, /*chunk=*/1);
   }
 
   // Phase 3: per-lane gather, parallel over the k lanes. Each lane sizes

@@ -23,9 +23,10 @@
 //     into at most kMaxRanges ranges of the active x-tile list, with
 //     boundaries derived from the matrix and x alone (detail::cut_ranges),
 //     and the ranges' partial results combine in range order: the CSR side
-//     pass appends (row, product) pairs to per-range lists the caller
-//     applies in order, and each CSC range scatters into its own bucket,
-//     summed in bucket order by the gather. No value atomics anywhere;
+//     pass (detail::side_pass, shared with the block engine at k lanes)
+//     appends (cell, product) pairs to per-range lists the caller applies
+//     in order, and each CSC range scatters into its own bucket, summed in
+//     bucket order by the gather. No value atomics anywhere;
 //   - phase 3 (gather) runs as a parallel range-concatenation: disjoint
 //     tile ranges assemble privately sized from the flagged-tile count and
 //     are spliced with a prefix sum, preserving the exact serial output;
@@ -165,9 +166,9 @@ inline void intra_tile_accumulate_runs(const T* vals, const std::uint8_t* cols,
 
 /// Per-range buffers: the parallel gather (phase 3) assembles each range of
 /// output tiles into its own pair of arrays, spliced afterwards, and the
-/// CSR side pass (phase 2) borrows the same arrays as its per-range
-/// (row, product) lists. Buffers keep their capacity across multiplies and
-/// are empty between phases.
+/// side pass (phase 2, detail::side_pass) borrows the same arrays as its
+/// per-range (cell, product) lists. Buffers keep their capacity across
+/// multiplies and are empty between phases.
 template <typename T>
 struct GatherScratch {
   std::vector<std::vector<index_t>> idx;
@@ -408,23 +409,60 @@ const std::vector<index_t>& phase1_shard_bounds(SpmspvWorkspace<T>& ws,
   return ws.shard_bounds;
 }
 
-/// Rejects an x the kernels would index out of bounds: it must have one
-/// entry per input index of the matrix (`in_n`), the matrix's tile size, a
-/// slot map over ceil(in_n/nt) tiles and one tile-list entry per stored
-/// tile. O(1); validate_tile_vector checks the contents.
-template <typename T>
-void require_operand(const TileVector<T>& x, index_t in_n, index_t nt,
-                     const char* who) {
-  if (x.n != in_n || x.nt != nt ||
-      x.x_ptr.size() != static_cast<std::size_t>(ceil_div(in_n, nt))) {
-    throw std::invalid_argument(
-        std::string(who) + ": x has length " + std::to_string(x.n) +
-        " and tile size " + std::to_string(x.nt) + ", the matrix takes " +
-        std::to_string(in_n) + " and " + std::to_string(nt));
-  }
-  if (x.tiles.size() != static_cast<std::size_t>(x.num_nonempty_tiles())) {
-    throw std::invalid_argument(std::string(who) +
-                                ": x's tile list does not cover its slots");
+/// Phase 2 at k lanes: the extracted part times x's non-empty tiles
+/// (`tiles`, slot order: slot ai's nt×k payload is at x_tile + ai·nt·k;
+/// `lanes(s)` is tile s's lane mask). Each range appends its (cell, a·x)
+/// pairs, cell = row·k + lane, to its own gather-scratch list, and
+/// `apply(cell, product)` takes the lists in range order on the caller.
+template <typename T, typename LaneFn, typename ApplyFn>
+void side_pass(const TileMatrix<T>& a, const std::vector<index_t>& tiles,
+               const T* x_tile, index_t k, LaneFn&& lanes,
+               std::vector<index_t>& range_ptr, GatherScratch<T>& gs,
+               ThreadPool* pool, ApplyFn&& apply) {
+  const index_t nt = a.nt;
+  // Unit weights: weighting by the side nnz of each tile's columns would
+  // read side_col_ptr once per active tile on the caller, a cache miss
+  // each, and balanced the pass no better than an even cut.
+  const index_t ranges = cut_ranges(range_ptr, tiles, kMaxRanges,
+                                    [](index_t) { return index_t{1}; });
+  gs.ensure(ranges);
+  parallel_for(
+      ranges,
+      [&](index_t rg) {
+        std::vector<index_t>& cells = gs.idx[rg];
+        std::vector<T>& prods = gs.vals[rg];
+        std::uint64_t side = 0;
+        for (index_t ai = range_ptr[rg]; ai < range_ptr[rg + 1]; ++ai) {
+          const index_t s = tiles[ai];
+          const T* xt = x_tile + static_cast<std::size_t>(ai) * nt *
+                                     static_cast<std::size_t>(k);
+          for (index_t lj = 0; lj < nt; ++lj) {
+            const index_t j = s * nt + lj;
+            if (j >= a.cols) break;
+            const offset_t e_begin = a.side_col_ptr[j];
+            const offset_t e_end = a.side_col_ptr[j + 1];
+            if (e_begin == e_end) continue;
+            for (std::uint64_t bits = lanes(s); bits != 0; bits &= bits - 1) {
+              const int v = std::countr_zero(bits);
+              const T xv = xt[static_cast<std::size_t>(lj) * k + v];
+              if (xv == T{}) continue;
+              side += static_cast<std::uint64_t>(e_end - e_begin);
+              for (offset_t i = e_begin; i < e_end; ++i) {
+                cells.push_back(a.side_row_idx[i] * k + v);
+                prods.push_back(a.side_vals[i] * xv);
+              }
+            }
+          }
+        }
+        obs::counter_add(obs::Counter::kSideMacs, side);
+      },
+      pool, /*chunk=*/1);
+  for (index_t rg = 0; rg < ranges; ++rg) {
+    const std::vector<index_t>& cells = gs.idx[rg];
+    const std::vector<T>& prods = gs.vals[rg];
+    for (std::size_t e = 0; e < cells.size(); ++e) apply(cells[e], prods[e]);
+    gs.idx[rg].clear();
+    gs.vals[rg].clear();
   }
 }
 
@@ -524,57 +562,16 @@ SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
     }
   }
 
-  // Phase 2: extracted very-sparse part, driven by the active columns so
-  // its cost is proportional to nnz(x), not to the side-matrix size.
-  // Columns of different ranges can hit one row, so each range appends its
-  // (row, a·x) products to its own list (the gather scratch, idle until
-  // phase 3) and the caller applies the lists in range order.
+  // Phase 2: the extracted side part, at one lane over x's tile list.
   if (a.extracted.nnz() > 0) {
     obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
-    // The active tiles are x's tile list. Unit weights: weighting by the
-    // side nnz of each tile's columns would read side_col_ptr once per
-    // active tile on the caller, a cache miss each, and balanced the pass
-    // no better than an even cut.
-    const index_t ranges = cut_ranges(ws.range_ptr, x.tiles, kMaxRanges,
-                                      [](index_t) { return index_t{1}; });
-    GatherScratch<T>& gs = ws.gather;
-    gs.ensure(ranges);
-    parallel_for(
-        ranges,
-        [&](index_t k) {
-          std::vector<index_t>& rows = gs.idx[k];
-          std::vector<T>& prods = gs.vals[k];
-          std::uint64_t side = 0;
-          for (index_t ai = ws.range_ptr[k]; ai < ws.range_ptr[k + 1]; ++ai) {
-            const index_t s = x.tiles[ai];
-            const T* xt = &x.x_tile[static_cast<std::size_t>(ai) * nt];
-            for (index_t lj = 0; lj < nt; ++lj) {
-              const index_t j = s * nt + lj;
-              if (j >= a.cols) break;
-              const T xv = xt[lj];
-              if (xv == T{}) continue;
-              side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
-                                                 a.side_col_ptr[j]);
-              for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
-                   ++i) {
-                rows.push_back(a.side_row_idx[i]);
-                prods.push_back(a.side_vals[i] * xv);
-              }
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        pool, /*chunk=*/1);
-    for (index_t k = 0; k < ranges; ++k) {
-      const std::vector<index_t>& rows = gs.idx[k];
-      const std::vector<T>& prods = gs.vals[k];
-      for (std::size_t e = 0; e < rows.size(); ++e) {
-        yd[rows[e]] += prods[e];
-        flag[rows[e] / nt] = 1;
-      }
-      gs.idx[k].clear();
-      gs.vals[k].clear();
-    }
+    side_pass(
+        a, x.tiles, x.x_tile.data(), 1,
+        [](index_t) { return std::uint64_t{1}; }, ws.range_ptr, ws.gather,
+        pool, [&](index_t r, T prod) {
+          yd[r] += prod;
+          flag[r / nt] = 1;
+        });
   }
 
   // Phase 3: gather touched tile rows into the sparse result and restore

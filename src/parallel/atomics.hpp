@@ -1,9 +1,10 @@
-// Atomic helpers mirroring the CUDA primitives the paper's kernels use:
-// atomicOr on bitmask words and atomicAdd on accumulator values. The OR
-// users (multi-source BFS frontiers, SpMSpV/SpMSpM row flags) only need
-// monotone idempotent OR, so relaxed ordering suffices
-// (every kernel launch is separated by a pool barrier, which publishes all
-// writes before the next phase reads them).
+// Atomic helpers over plain integral words, after the CUDA primitives the
+// paper's kernels use (atomicOr, atomicCAS). There is no atomicAdd: the
+// SpMSpV and SpMSpM kernels sum partial results in a fixed range order
+// instead, so a floating-point result never depends on thread timing. The
+// OR users (multi-source BFS frontiers) only need monotone idempotent OR,
+// so relaxed ordering suffices (every kernel launch is separated by a pool
+// barrier, which publishes all writes before the next phase reads them).
 #pragma once
 
 #include <atomic>
@@ -19,18 +20,6 @@ inline void atomic_or(W* target, W bits) {
   static_assert(std::is_integral_v<W>);
   reinterpret_cast<std::atomic<W>*>(target)->fetch_or(
       bits, std::memory_order_relaxed);
-}
-
-/// atomicAdd equivalent for floating-point accumulation (CAS loop, as CUDA
-/// does for doubles pre-sm_60).
-template <typename T>
-inline void atomic_add(T* target, T delta) {
-  static_assert(std::is_floating_point_v<T>);
-  auto* a = reinterpret_cast<std::atomic<T>*>(target);
-  T cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + delta,
-                                   std::memory_order_relaxed)) {
-  }
 }
 
 /// Relaxed atomic load of a plain word (pairs with atomic_or above).

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "apps/ms_bfs.hpp"
-#include "core/tile_spmspm.hpp"
 #include "tile/tile_vector_block.hpp"
 
 namespace tilespmspv::serve {
@@ -192,7 +191,7 @@ void Batcher::flush_spmspv(SpmspvQueue q) {
       const TileVectorBlock<value_t> xb =
           TileVectorBlock<value_t>::from_sparse(xs, q.snap->tiled.nt, pool_);
       std::vector<SparseVec<value_t>> ys =
-          tile_spmspm(q.snap->tiled, xb, pool_);
+          tile_spmspm(q.snap->tiled, xb, spmspm_ws_, pool_);
       for (std::size_t i = 0; i < k; ++i) {
         q.promises[lo + i].set_value(std::move(ys[i]));
       }
@@ -201,6 +200,8 @@ void Batcher::flush_spmspv(SpmspvQueue q) {
       if (k > 1) ++batched_flushes_;
       max_flush_k_ = std::max<std::uint64_t>(max_flush_k_, k);
     } catch (...) {
+      // A multiply cut short can leave cells of the block set; start over.
+      spmspm_ws_ = SpmspmWorkspace<value_t>{};
       for (std::size_t i = lo; i < hi; ++i) {
         q.promises[i].set_exception(std::current_exception());
       }

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/tile_spmspm.hpp"
 #include "formats/sparse_vector.hpp"
 #include "serve/matrix_store.hpp"
 #include "util/types.hpp"
@@ -101,6 +102,10 @@ class Batcher {
   std::uint64_t spmspv_queries_ = 0, bfs_queries_ = 0;
   std::uint64_t flushes_ = 0, batched_flushes_ = 0, max_flush_k_ = 0;
   std::uint64_t errors_ = 0;
+
+  // Scratch of every SpMSpV flush (no rows × k block per flush). Only the
+  // flusher thread, which alone runs flush_spmspv, touches it: no lock.
+  SpmspmWorkspace<value_t> spmspm_ws_;
 
   std::thread flusher_;  // last member: starts in ctor, joins in dtor
 };

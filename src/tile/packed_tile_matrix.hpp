@@ -11,7 +11,6 @@
 // bench bench_ablation_intra_tile quantifies the trade.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -151,13 +150,14 @@ struct PackedTileMatrix {
 /// TileSpMSpV over the packed layout: same work-weighted tile-row chunks
 /// and x_ptr skipping as the intra-CSR kernel; the flat per-entry inner
 /// scan runs through the SIMD layer for double values (products formed
-/// 4-wide, scalar row scatter — see simd::packed_flat_scan).
+/// 4-wide, scalar row scatter — see simd::packed_flat_scan). Throws
+/// std::invalid_argument on an x that does not fit A (require_operand).
 template <typename T>
 SparseVec<T> packed_tile_spmspv(const PackedTileMatrix<T>& a,
                                 const TileVector<T>& x,
                                 ThreadPool* pool = nullptr) {
   constexpr index_t nt = PackedTileMatrix<T>::kNt;
-  assert(x.nt == nt);
+  detail::require_operand(x, a.cols, nt, "packed_tile_spmspv");
   std::vector<T> yd(a.rows, T{});
   std::vector<unsigned char> flag(a.tile_rows, 0);
   std::vector<index_t> fallback;

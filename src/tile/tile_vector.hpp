@@ -138,4 +138,28 @@ struct TileVector {
   }
 };
 
+namespace detail {
+
+/// Rejects an x the kernels would index out of bounds: it must have one
+/// entry per input index of the matrix (`in_n`), the matrix's tile size, a
+/// slot map over ceil(in_n/nt) tiles and one tile-list entry per stored
+/// tile. O(1); validate_tile_vector checks the contents.
+template <typename T>
+void require_operand(const TileVector<T>& x, index_t in_n, index_t nt,
+                     const char* who) {
+  if (x.n != in_n || x.nt != nt ||
+      x.x_ptr.size() != static_cast<std::size_t>(ceil_div(in_n, nt))) {
+    throw std::invalid_argument(
+        std::string(who) + ": x has length " + std::to_string(x.n) +
+        " and tile size " + std::to_string(x.nt) + ", the matrix takes " +
+        std::to_string(in_n) + " and " + std::to_string(nt));
+  }
+  if (x.tiles.size() != static_cast<std::size_t>(x.num_nonempty_tiles())) {
+    throw std::invalid_argument(std::string(who) +
+                                ": x's tile list does not cover its slots");
+  }
+}
+
+}  // namespace detail
+
 }  // namespace tilespmspv

@@ -14,6 +14,8 @@
 #include <cassert>
 #include <cstdint>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "formats/sparse_vector.hpp"
@@ -167,5 +169,26 @@ struct TileVectorBlock {
     return x;
   }
 };
+
+namespace detail {
+
+/// require_operand for a block of at most kMaxLanes lanes: the slot map and
+/// lane words must also cover ceil(in_n/nt) tiles.
+template <typename T>
+void require_operand(const TileVectorBlock<T>& x, index_t in_n, index_t nt,
+                     const char* who) {
+  const auto tiles = static_cast<std::size_t>(ceil_div(in_n, nt));
+  if (x.n != in_n || x.nt != nt || x.k < 0 ||
+      x.k > TileVectorBlock<T>::kMaxLanes || x.x_ptr.size() != tiles ||
+      x.active.size() != tiles) {
+    throw std::invalid_argument(
+        std::string(who) + ": x has length " + std::to_string(x.n) +
+        ", tile size " + std::to_string(x.nt) + " and " +
+        std::to_string(x.k) + " lanes; the matrix takes " +
+        std::to_string(in_n) + " and " + std::to_string(nt));
+  }
+}
+
+}  // namespace detail
 
 }  // namespace tilespmspv

@@ -1,27 +1,35 @@
 // Deterministic range buckets and their merge under contention. The CSC
 // kernel scatters each range of active x tiles into its own bucket and the
-// gather sums the buckets in range order; the CSR side pass appends to
-// per-range lists applied in range order. Range boundaries come from the
-// matrix and x alone, so every form's result is bitwise identical across
-// pool sizes, shard counts and repeated runs — the first test checks
-// exactly that for all four entry points. The others hammer the bucket
-// path with many tile columns scattering into few output tiles on pools of
-// several sizes, so a data race in the bucket ownership or the merge
-// hand-off is visible to ThreadSanitizer (CI runs this binary under TSan)
-// and any lost update breaks the exact-value checks.
+// gather sums the buckets in range order; the CSR side pass, which the
+// block engine runs at k lanes, appends to per-range lists applied in
+// range order. Range boundaries come from the matrix and x alone, so every
+// form's result is bitwise identical across pool sizes, shard counts,
+// repeated runs and owned vs mapped storage — the first test checks
+// exactly that for all five entry points and the apps built on the block
+// engine. The others hammer the bucket path with many tile columns
+// scattering into few output tiles on pools of several sizes, so a data
+// race in the bucket ownership or the merge hand-off is visible to
+// ThreadSanitizer (CI runs this binary under TSan) and any lost update
+// breaks the exact-value checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "apps/betweenness.hpp"
+#include "apps/ms_bfs.hpp"
 #include "core/spmspv.hpp"
 #include "core/spmspv_reference.hpp"
+#include "core/tile_spmspm.hpp"
 #include "core/tile_spmspv.hpp"
+#include "formats/tile_file.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/suite.hpp"
 #include "gen/vector_gen.hpp"
+#include "tile/tile_vector_block.hpp"
 
 namespace tilespmspv {
 namespace {
@@ -33,9 +41,17 @@ bool bitwise_equal(const SparseVec<value_t>& a, const SparseVec<value_t>& b) {
                       a.vals.size() * sizeof(value_t)) == 0);
 }
 
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 // One pool's results for every form on every input vector, computed on one
 // workspace (and one semiring operator) `reps` times over; each repeat must
-// reproduce the first bit for bit.
+// reproduce the first bit for bit. Per vector the CSR, CSC, masked and
+// semiring forms, then one lane per vector of the block engine on all the
+// vectors as one block.
 struct FormRunner {
   const Csr<value_t>& a;
   const TileMatrix<value_t>& tiled;
@@ -43,18 +59,35 @@ struct FormRunner {
   const std::vector<SparseVec<value_t>>& xs;
   const std::vector<bool>& mask;
 
+  std::string label(std::size_t i) const {
+    const std::size_t per_vector = 4 * xs.size();
+    return i < per_vector ? "form " + std::to_string(i % 4) + " vector " +
+                                std::to_string(i / 4)
+                          : "block lane " + std::to_string(i - per_vector);
+  }
+
   std::vector<SparseVec<value_t>> run(ThreadPool& pool, int reps) const {
     SpmspvWorkspace<value_t> ws;
+    SpmspmWorkspace<value_t> block_ws;
     SemiringOperator<PlusTimes<value_t>> sop(a, 16, 2, &pool);
+    std::vector<TileVector<value_t>> xts;
+    for (const SparseVec<value_t>& x : xs) {
+      xts.push_back(TileVector<value_t>::from_sparse(x, 16));
+    }
+    const TileVectorBlock<value_t> xb =
+        TileVectorBlock<value_t>::from_tiled(xts, &pool);
     std::vector<SparseVec<value_t>> first;
     for (int rep = 0; rep < reps; ++rep) {
       std::vector<SparseVec<value_t>> out;
-      for (const SparseVec<value_t>& x : xs) {
-        const TileVector<value_t> xt = TileVector<value_t>::from_sparse(x, 16);
-        out.push_back(tile_spmspv(tiled, xt, ws, &pool));
-        out.push_back(tile_spmspv_csc(tiled_t, xt, ws, &pool));
-        out.push_back(tile_spmspv_masked(tiled, xt, mask, true, ws, &pool));
-        out.push_back(sop.multiply(x));
+      for (std::size_t v = 0; v < xs.size(); ++v) {
+        out.push_back(tile_spmspv(tiled, xts[v], ws, &pool));
+        out.push_back(tile_spmspv_csc(tiled_t, xts[v], ws, &pool));
+        out.push_back(
+            tile_spmspv_masked(tiled, xts[v], mask, true, ws, &pool));
+        out.push_back(sop.multiply(xs[v]));
+      }
+      for (SparseVec<value_t>& y : tile_spmspm(tiled, xb, block_ws, &pool)) {
+        out.push_back(std::move(y));
       }
       if (rep == 0) {
         first = std::move(out);
@@ -62,19 +95,45 @@ struct FormRunner {
       }
       for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_TRUE(bitwise_equal(out[i], first[i]))
-            << "repeat " << rep << " differs, form " << i % 4 << " vector "
-            << i / 4;
+            << "repeat " << rep << " differs, " << label(i);
       }
     }
     return first;
   }
 };
 
-// Every floating-point sum has one order: the CSR, CSC, masked and
-// semiring forms give bitwise the 1-thread result on pools of 2, 4 and 8,
-// on a 2-shard pool, and on every repeat through one workspace. web-small
-// has extracted entries, so both side passes run, and hub rows collect
-// products from many x tiles.
+// The apps on the block engine: betweenness (float path counts) and the
+// tiled multi-source BFS, `reps` times over on one pool.
+struct AppRunner {
+  const Csr<value_t>& a;
+  const std::vector<index_t>& sources;
+
+  std::pair<std::vector<double>, MsBfsResult> run(ThreadPool& pool,
+                                                  int reps) const {
+    std::pair<std::vector<double>, MsBfsResult> first;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<double> bc =
+          betweenness_centrality(a, sources, false, {}, &pool);
+      MsBfsResult bfs = ms_bfs_tiled(a, sources, {}, &pool);
+      if (rep == 0) {
+        first = {std::move(bc), std::move(bfs)};
+        continue;
+      }
+      EXPECT_TRUE(bitwise_equal(bc, first.first))
+          << "repeat " << rep << " differs, betweenness";
+      EXPECT_EQ(bfs.levels, first.second.levels)
+          << "repeat " << rep << " differs, ms_bfs_tiled";
+    }
+    return first;
+  }
+};
+
+// Every floating-point sum has one order: the CSR, CSC, masked, semiring
+// and block forms, betweenness and the tiled multi-source BFS give bitwise
+// the 1-thread result on pools of 2, 4 and 8, on a 2-shard pool and on
+// every repeat through one workspace, and the forms give it again on the
+// same matrix mapped from a tile file. web-small has extracted entries, so
+// every side pass runs, and hub rows collect products from many x tiles.
 TEST(CscMerge, EveryFormIsBitwiseDeterministic) {
   const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix("web-small"));
   const TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
@@ -91,20 +150,36 @@ TEST(CscMerge, EveryFormIsBitwiseDeterministic) {
   std::vector<bool> mask(a.rows);
   for (index_t r = 0; r < a.rows; ++r) mask[r] = r % 3 == 0;
   const FormRunner runner{a, tiled, tiled_t, xs, mask};
+  std::vector<index_t> sources;
+  for (index_t s = 0; s < 12; ++s) sources.push_back(s * (a.rows / 12));
+  const AppRunner apps{a, sources};
 
   ThreadPool serial(1);
   const std::vector<SparseVec<value_t>> expect = runner.run(serial, 1);
-  for (std::size_t i = 0; i < expect.size(); i += 4) {
-    ASSERT_TRUE(approx_equal(expect[i], spmspv_rowwise_reference(a, xs[i / 4])))
-        << "vector " << i / 4;
+  for (std::size_t v = 0; v < xs.size(); ++v) {
+    const SparseVec<value_t> ref = spmspv_rowwise_reference(a, xs[v]);
+    ASSERT_TRUE(approx_equal(expect[4 * v], ref)) << "vector " << v;
+    ASSERT_TRUE(approx_equal(expect[4 * xs.size() + v], ref))
+        << "block lane " << v;
   }
-  const auto check = [&](ThreadPool& pool, int reps, const std::string& what) {
-    const std::vector<SparseVec<value_t>> got = runner.run(pool, reps);
+  const auto expect_apps = apps.run(serial, 1);
+  const auto check_forms = [&](ThreadPool& pool, int reps,
+                               const std::string& what,
+                               const FormRunner& forms) {
+    const std::vector<SparseVec<value_t>> got = forms.run(pool, reps);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_TRUE(bitwise_equal(got[i], expect[i]))
-          << what << ": form " << i % 4 << " vector " << i / 4;
+          << what << ": " << forms.label(i);
     }
+  };
+  const auto check = [&](ThreadPool& pool, int reps, const std::string& what) {
+    check_forms(pool, reps, what, runner);
+    const auto got_apps = apps.run(pool, reps);
+    EXPECT_TRUE(bitwise_equal(got_apps.first, expect_apps.first))
+        << what << ": betweenness";
+    EXPECT_EQ(got_apps.second.levels, expect_apps.second.levels)
+        << what << ": ms_bfs_tiled";
   };
   for (const int threads : {2, 4, 8}) {
     ThreadPool pool(threads);
@@ -115,6 +190,15 @@ TEST(CscMerge, EveryFormIsBitwiseDeterministic) {
   check(sharded, 1, "4 threads, 2 shards");
   ThreadPool pool(4);
   check(pool, 8, "4 threads, 8 repeats");
+
+  // Owned vs mapped: the same matrices as views into a tile file.
+  const std::string path = ::testing::TempDir() + "csc_merge_web_small.ttlf";
+  write_tile_matrix_file_v2(path, tiled, &tiled_t);
+  const MappedTileMatrix mapped = map_tile_matrix_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(mapped.has_transpose);
+  const FormRunner mapped_runner{a, mapped.tiled, mapped.tiled_t, xs, mask};
+  check_forms(pool, 1, "mapped, 4 threads", mapped_runner);
 }
 
 // Tall-thin transpose: many active tile rows of Aᵀ all scatter into the

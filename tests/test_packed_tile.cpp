@@ -93,6 +93,20 @@ TEST(PackedTile, EmptyMatrix) {
   EXPECT_EQ(packed_tile_spmspv(p, xt).nnz(), 0);
 }
 
+// A 40-long x on a 600-column matrix is refused instead of read past its
+// 3-slot map.
+TEST(PackedTile, RejectsOperandOfWrongShape) {
+  Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(500, 600, 0.02, 200));
+  const Packed p = Packed::from_csr(a);
+  const TileVector<value_t> short_x =
+      TileVector<value_t>::from_sparse(gen_sparse_vector(40, 0.2, 24), 16);
+  EXPECT_THROW(packed_tile_spmspv(p, short_x), std::invalid_argument);
+  const TileVector<value_t> wrong_nt =
+      TileVector<value_t>::from_sparse(gen_sparse_vector(600, 0.05, 25), 32);
+  EXPECT_THROW(packed_tile_spmspv(p, wrong_nt), std::invalid_argument);
+}
+
 TEST(PackedTile, DenseSingleTile) {
   Coo<value_t> coo(16, 16);
   for (index_t r = 0; r < 16; ++r) {

@@ -215,14 +215,6 @@ TEST(Atomics, AtomicOrConcurrent) {
   for (const auto w : words) EXPECT_EQ(w, ~std::uint64_t{0});
 }
 
-TEST(Atomics, AtomicAddConcurrent) {
-  ThreadPool pool(4);
-  double sum = 0.0;
-  parallel_for(10000, [&](index_t) { atomic_add(&sum, 1.0); }, &pool,
-               /*chunk=*/11);
-  EXPECT_DOUBLE_EQ(sum, 10000.0);
-}
-
 TEST(Atomics, AtomicLoadSeesStores) {
   std::uint32_t w = 0;
   atomic_or(&w, 42u);

@@ -145,6 +145,29 @@ TEST(SpmspmBlock, EmptyBlock) {
   EXPECT_TRUE(tile_spmspm(tiled, xb).empty());
 }
 
+// A block whose lanes do not fit the matrix is refused before any phase
+// reads it: a 40-long block on a 600-column matrix would index the slot
+// map and lane words far past their 3 tiles.
+TEST(SpmspmBlock, RejectsOperandOfWrongShape) {
+  Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(700, 600, 0.012, 4201));
+  const TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
+  ThreadPool pool(4);
+  const std::vector<SparseVec<value_t>> short_xs = {
+      gen_sparse_vector(40, 0.2, 24), gen_sparse_vector(40, 0.2, 25)};
+  const auto short_x = TileVectorBlock<value_t>::from_sparse(short_xs, 16);
+  SpmspmWorkspace<value_t> ws;
+  EXPECT_THROW(tile_spmspm(tiled, short_x, ws, &pool), std::invalid_argument);
+  EXPECT_THROW(tile_spmspm(tiled, short_x), std::invalid_argument);
+  const std::vector<SparseVec<value_t>> xs = {gen_sparse_vector(600, 0.05, 26)};
+  const auto wrong_nt = TileVectorBlock<value_t>::from_sparse(xs, 32);
+  EXPECT_THROW(tile_spmspm(tiled, wrong_nt, ws, &pool), std::invalid_argument);
+  // The refusals left the workspace clean: a fitting block still matches.
+  const auto xb = TileVectorBlock<value_t>::from_sparse(xs, 16);
+  EXPECT_TRUE(approx_equal(tile_spmspm(tiled, xb, ws, &pool)[0],
+                           spmspv_rowwise_reference(a, xs[0])));
+}
+
 TEST(SpmspmBlock, AllEmptyLanes) {
   // k > 0 but every lane is empty: the block has zero kept tiles and the
   // engine must return k empty outputs without touching any phase scratch.
