@@ -126,7 +126,7 @@ std::vector<std::vector<double>> bc_multi_source(
   // Forward, batched: lanes whose traversal has converged carry empty
   // frontiers (empty lanes in the block cost nothing), so the loop runs
   // until the deepest lane finishes.
-  SpmspmWorkspace<T> ws;
+  SpmspvWorkspace<T> ws;
   bool any = k > 0;
   for (index_t d = 1; any; ++d) {
     const TileVectorBlock<T> xb = TileVectorBlock<T>::from_sparse(x, nt, pool);

@@ -136,7 +136,7 @@ MsBfsResult ms_bfs_tiled_on(const TileMatrix<T>& ta,
     x[static_cast<std::size_t>(s)].push(src, T{1});
   }
 
-  SpmspmWorkspace<T> ws;
+  SpmspvWorkspace<T> ws;
   bool any = true;
   for (index_t level = 1; any; ++level) {
     ++out.rounds;

@@ -1,21 +1,26 @@
 // TileSpMSpV — the paper's numeric kernel (Algorithm 4) in its two forms
 // (§3.2.3), each implemented once:
-//   - the matrix-driven CSR form, tile_spmspv; tile_spmspv_masked is the
-//     same pipeline with a GraphBLAS output mask applied by the gather;
+//   - the matrix-driven CSR form at k lanes, detail::csr_spmspm. The paper
+//     treats SpMSpV as the k = 1 corner of a multi-vector product (§1):
+//     tile_spmspv is that walk at one lane, tile_spmspv_masked the same with
+//     a GraphBLAS output mask applied by the gather, and the block engine
+//     tile_spmspm (core/tile_spmspm.hpp) the same walk at k <= 64 lanes;
 //   - the vector-driven CSC form, tile_spmspv_csc, generic over a
 //     Semiring policy (core/semiring.hpp), so SemiringOperator's min-plus,
 //     or-and and max-times multiplies run on it too.
 //
 // CSR form: one work unit per *work-balanced chunk* of tile rows
 // (boundaries computed once at conversion, see tile/tile_chunks.hpp):
-// every non-empty matrix tile in a tile row looks up its column position
-// in the tiled vector's x_ptr in O(1); empty vector tiles are skipped
-// without touching the tile payload. Surviving tiles run a tile-local CSR
-// × dense-tile product into an NT-element register-like accumulator, with
-// the gather+multiply half of the product vectorized (util/simd.hpp). The
-// very sparse part extracted into COO at preprocessing time is processed
-// by a separate pass merged into the same output (paper §3.2.1 / §3.4
-// hybrid).
+// every non-empty matrix tile in a tile row reads x's lane word for its
+// tile column in O(1); a tile no lane holds is skipped without touching the
+// tile payload. Surviving tiles accumulate into an nt×k block held per pool
+// slot, walking the tile's non-empty-row run list (a TileMatrix invariant).
+// Only the per-tile kernel depends on k: at k = 1 the run kernel
+// (intra_tile_accumulate_runs, the gather+multiply vectorized through
+// util/simd.hpp), at k >= 2 the lane panels or, for nearly empty lane
+// words, the per-set-bit loop. The very sparse part extracted into COO at
+// preprocessing time is processed by a separate pass merged into the same
+// output (paper §3.2.1 / §3.4 hybrid).
 //
 // Execution-layer notes:
 //   - every floating-point sum has one order, whatever the pool size,
@@ -23,15 +28,17 @@
 //     into at most kMaxRanges ranges of the active x-tile list, with
 //     boundaries derived from the matrix and x alone (detail::cut_ranges),
 //     and the ranges' partial results combine in range order: the CSR side
-//     pass (detail::side_pass, shared with the block engine at k lanes)
-//     appends (cell, product) pairs to per-range lists the caller applies
-//     in order, and each CSC range scatters into its own bucket, summed in
-//     bucket order by the gather. No value atomics anywhere;
-//   - phase 3 (gather) runs as a parallel range-concatenation: disjoint
-//     tile ranges assemble privately sized from the flagged-tile count and
-//     are spliced with a prefix sum, preserving the exact serial output;
-//   - all scratch (active-tile lists, range buckets, gather buffers) lives
-//     in SpmspvWorkspace, so steady-state multiplies allocate nothing.
+//     pass (detail::side_pass) appends (cell, product) pairs to per-range
+//     lists the caller applies in order, and each CSC range scatters into
+//     its own bucket, summed in bucket order by the gather. No value
+//     atomics anywhere;
+//   - phase 3 (gather) runs as (lane, tile range) tasks: each assembles
+//     its part privately, sized from its flagged-tile count, and a lane's
+//     parts are spliced with a prefix sum, preserving the exact serial
+//     output;
+//   - all scratch (output block, row masks, accumulators, active-tile
+//     lists, range buckets, gather buffers) lives in SpmspvWorkspace, so
+//     steady-state multiplies allocate nothing.
 #pragma once
 
 #include <algorithm>
@@ -64,42 +71,7 @@ namespace detail {
 /// rows are long enough for lane partials to amortize.
 inline constexpr int kProdScratch = 4096;
 
-/// Dense-in-tile accumulation for one intra-CSR tile: acc[lr] +=
-/// sum_i vals[i] * xt[cols[i]] over the tile's local rows. For double the
-/// gather+multiply runs through the SIMD layer (flat over the whole tile
-/// when it fits the scratch, per-row dots otherwise); other value types
-/// keep the straightforward scalar loops.
-template <typename T>
-inline void intra_tile_accumulate(const T* vals, const std::uint8_t* cols,
-                                  const std::uint16_t* p, index_t nt,
-                                  const T* xt, T* acc, T* prod) {  // lint:hot-path
-  if constexpr (std::is_same_v<T, double>) {
-    const int nnz = p[nt];
-    if (nnz <= kProdScratch) {
-      simd::gather_mul(vals, cols, nnz, xt, prod);
-      for (index_t lr = 0; lr < nt; ++lr) {
-        const int b = p[lr], e = p[lr + 1];
-        if (e > b) acc[lr] += simd::range_sum(prod + b, e - b);
-      }
-      return;
-    }
-    for (index_t lr = 0; lr < nt; ++lr) {
-      const int b = p[lr], e = p[lr + 1];
-      if (e > b) acc[lr] += simd::dot_gather(vals + b, cols + b, e - b, xt);
-    }
-  } else {
-    (void)prod;
-    for (index_t lr = 0; lr < nt; ++lr) {
-      T sum{};
-      for (int i = p[lr]; i < p[lr + 1]; ++i) {
-        sum += vals[i] * xt[cols[i]];
-      }
-      acc[lr] += sum;
-    }
-  }
-}
-
-/// Run-driven variant: `runs` lists the tile's non-empty local rows as
+/// One-lane tile kernel: `runs` lists the tile's non-empty local rows as
 /// (row, count - 1, contiguous) byte triples covering the tile's entries
 /// in order (see TileMatrix::build_row_runs). Sparse tiles touch only
 /// their populated rows — no nt-iteration row-pointer scan — and the tile's
@@ -162,45 +134,139 @@ inline void intra_tile_accumulate_runs(const T* vals, const std::uint8_t* cols,
   }
 }
 
+/// One tile row × one 4-lane group, register-resident accumulator panel.
+template <typename T>
+inline void panel_row(const T* vals, const std::uint8_t* cols, int n,
+                      index_t k, int w, const T* x,
+                      T* acc) {  // lint:hot-path
+  if constexpr (std::is_same_v<T, double>) {
+    simd::lane_panel_update(vals, cols, n, static_cast<int>(k), w, x, acc);
+  } else {
+    for (int i = 0; i < n; ++i) {
+      const T a = vals[i];
+      const T* xr = x + static_cast<std::size_t>(cols[i]) * k;
+      for (int v = 0; v < w; ++v) acc[v] += a * xr[v];
+    }
+  }
+}
+
+/// Lane-panel tile kernel (k >= 2): the tile's runs outer, active 4-lane
+/// groups inner. Each group's accumulator panel stays in a register across
+/// the row's entries (one load/store per row × group instead of per
+/// nonzero), and groups with no active lane are skipped entirely — tiles
+/// where only part of the block is live neither read nor write the dead
+/// lanes' payload at nibble granularity.
+template <typename T>
+inline void block_tile_accumulate(const T* vals, const std::uint8_t* cols,
+                                  const std::uint8_t* runs, int nruns,
+                                  index_t k, std::uint64_t word, const T* xt,
+                                  T* acc) {  // lint:hot-path
+  int pos = 0;
+  for (int ri = 0; ri < nruns; ++ri) {
+    const std::size_t rb = static_cast<std::size_t>(ri) * 3;
+    const int n = runs[rb + 1] + 1;
+    const T* rv = vals + pos;
+    const std::uint8_t* rc = cols + pos;
+    T* arow = acc + static_cast<std::size_t>(runs[rb]) * k;
+    pos += n;
+    index_t g = 0;
+    if constexpr (std::is_same_v<T, double>) {
+      // Nearly full 16-lane groups take the wide panel (one entry pass
+      // covers 16 lanes, four FMA chains); sparser groups drop to 4-lane
+      // nibbles so dead lanes are skipped at finer granularity. The wide
+      // panel multiplies its few dead lanes against the zeros the block
+      // stores for them — same products per active lane either way.
+      for (; g + 16 <= k; g += 16) {
+        const std::uint64_t m16 = (word >> g) & 0xFFFFu;
+        if (m16 == 0) continue;
+        if (std::popcount(m16) >= 12) {
+          simd::lane_panel16_update(rv, rc, n, static_cast<int>(k), xt + g,
+                                    arow + g);
+          continue;
+        }
+        for (index_t s = g; s < g + 16; s += 4) {
+          if (((word >> s) & 0xFu) == 0) continue;
+          panel_row(rv, rc, n, k, 4, xt + s, arow + s);
+        }
+      }
+    }
+    for (; g < k; g += 4) {
+      const int w = static_cast<int>(k - g < 4 ? k - g : 4);
+      if (((word >> g) & ((std::uint64_t{1} << w) - 1)) == 0) continue;
+      panel_row(rv, rc, n, k, w, xt + g, arow + g);
+    }
+  }
+}
+
+/// Sparse-lane tile kernel (k >= 2): iterate the tile's entries once and
+/// update only the lanes set in `word`. Same per-lane entry order as the
+/// panel kernel (entries outer), so the two sum identically per lane.
+template <typename T>
+inline void block_tile_accumulate_lanes(const T* vals, const std::uint8_t* cols,
+                                        const std::uint8_t* runs, int nruns,
+                                        index_t k, std::uint64_t word,
+                                        const T* xt,
+                                        T* acc) {  // lint:hot-path
+  int pos = 0;
+  for (int ri = 0; ri < nruns; ++ri) {
+    const std::size_t rb = static_cast<std::size_t>(ri) * 3;
+    T* arow = acc + static_cast<std::size_t>(runs[rb]) * k;
+    const int end = pos + runs[rb + 1] + 1;
+    for (; pos < end; ++pos) {
+      const T* xrow = xt + static_cast<std::size_t>(cols[pos]) * k;
+      const T a = vals[pos];
+      for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const int v = std::countr_zero(bits);
+        arow[v] += a * xrow[v];
+      }
+    }
+  }
+}
+
 }  // namespace detail
 
-/// Per-range buffers: the parallel gather (phase 3) assembles each range of
-/// output tiles into its own pair of arrays, spliced afterwards, and the
-/// side pass (phase 2, detail::side_pass) borrows the same arrays as its
-/// per-range (cell, product) lists. Buffers keep their capacity across
-/// multiplies and are empty between phases.
+/// Per-range buffers: the parallel gather (phase 3) assembles each (lane,
+/// range) part of the output into its own pair of arrays, spliced
+/// afterwards, and the side pass (phase 2, detail::side_pass) borrows the
+/// same arrays as its per-range (cell, product) lists. Buffers keep their
+/// capacity across multiplies and are empty between phases.
 template <typename T>
 struct GatherScratch {
   std::vector<std::vector<index_t>> idx;
   std::vector<std::vector<T>> vals;
   std::vector<std::size_t> offs;
 
-  void ensure(index_t ranges) {
-    if (static_cast<index_t>(idx.size()) < ranges) {
-      idx.resize(ranges);
-      vals.resize(ranges);
+  void ensure(index_t buffers) {
+    if (static_cast<index_t>(idx.size()) < buffers) {
+      idx.resize(buffers);
+      vals.resize(buffers);
     }
-    offs.assign(static_cast<std::size_t>(ranges) + 1, 0);
+    offs.assign(static_cast<std::size_t>(buffers), 0);
   }
 };
 
 /// Reusable buffers so per-multiply cost stays proportional to the touched
 /// rows, not to the matrix size (important at vector sparsity 1e-4, where a
 /// full O(rows) clear would dominate and hide the algorithm's advantage).
-/// The semiring is part of the type, because the buckets are filled with
-/// S::zero(): one workspace cannot serve two semirings. The CSR form takes
-/// only the plus-times default. Invariants between calls: y_dense,
-/// tile_flag and priv_bits are all-zero, priv_slot is all kEmptyTile,
-/// priv_vals and the gather lists are empty; `active` and `range_ptr` hold
-/// garbage.
+/// One workspace serves the CSR form at any lane count k and the CSC form.
+/// The semiring is part of the type, because the CSC buckets are filled
+/// with S::zero(): one workspace cannot serve two semirings. The CSR form
+/// takes only the plus-times default. Invariants between calls: y,
+/// row_mask and priv_bits are all-zero, priv_slot is all kEmptyTile,
+/// priv_vals and the gather lists are empty; acc, `active` and `range_ptr`
+/// hold garbage.
 template <typename T = value_t, typename S = PlusTimes<T>>
 struct SpmspvWorkspace {
-  std::vector<T> y_dense;                  // all-zero between calls
-  std::vector<unsigned char> tile_flag;    // all-zero between calls
+  // CSR form at k lanes: the rows×k dense output (lane v of row r at
+  // y[r·k + v]), each tile row's union lane mask (bit v = lane v has a
+  // value there to gather), and one nt×k accumulator block per pool slot.
+  std::vector<T> y;                     // all-zero between calls
+  std::vector<std::uint64_t> row_mask;  // all-zero between calls
+  std::vector<T> acc;
 
-  // Hoisted scratch for the CSC form's active-tile list, and the
-  // boundaries of the ranges a multiply cuts its active tiles into
-  // (detail::cut_ranges).
+  // Hoisted scratch for an active-tile list (the CSC form's, and the block
+  // engine's side-pass tile list), and the boundaries of the ranges a
+  // multiply cuts its active tiles into (detail::cut_ranges).
   std::vector<index_t> active;
   std::vector<index_t> range_ptr;
 
@@ -226,13 +292,27 @@ struct SpmspvWorkspace {
   const index_t* shard_key = nullptr;
   int shard_ns = 0;
 
-  void ensure(index_t rows, index_t tile_rows) {
-    if (static_cast<index_t>(y_dense.size()) < rows) {
-      y_dense.assign(rows, T{});
+  /// Elements between two pool slots' accumulator blocks: the nt×k block
+  /// plus a 4 KiB page, so no two slots' blocks share a page. The hardware
+  /// prefetchers run ahead within a page; with the blocks a cache line
+  /// apart they pulled a neighbour's lines while its owner wrote them, and
+  /// the CSR form's phase 1 on web-large at sparsity 1e-2 ran ~25% slower.
+  static std::size_t acc_stride(index_t nt, index_t k) {
+    return static_cast<std::size_t>(nt) * static_cast<std::size_t>(k) +
+           std::max<std::size_t>(1, 4096 / sizeof(T));
+  }
+
+  void ensure(index_t rows, index_t tile_rows, index_t k, index_t nt,
+              int pool_slots) {
+    const std::size_t need_y =
+        static_cast<std::size_t>(rows) * static_cast<std::size_t>(k);
+    if (y.size() < need_y) y.resize(need_y, T{});
+    if (row_mask.size() < static_cast<std::size_t>(tile_rows)) {
+      row_mask.resize(static_cast<std::size_t>(tile_rows), 0);
     }
-    if (static_cast<index_t>(tile_flag.size()) < tile_rows) {
-      tile_flag.assign(tile_rows, 0);
-    }
+    const std::size_t need_acc =
+        static_cast<std::size_t>(pool_slots) * acc_stride(nt, k);
+    if (acc.size() < need_acc) acc.resize(need_acc);
   }
 
   void ensure_csc(index_t out_tiles, index_t buckets) {
@@ -292,86 +372,97 @@ inline index_t gather_ranges(index_t tiles, ThreadPool& p,
                            static_cast<index_t>(4 * p.size()));
 }
 
-/// Splices per-range gather buffers into one SparseVec via prefix sums.
-/// Range buffers are cleared (capacity kept) on the way out.
+/// Splices per-range gather buffers into `lanes` SparseVecs via prefix
+/// sums: lane v's parts are buffers v·ranges .. v·ranges + ranges - 1, in
+/// order. Buffers are cleared (capacity kept) on the way out.
 template <typename T>
-void splice_ranges(index_t ranges, GatherScratch<T>& gs, ThreadPool* pool,
-                   SparseVec<T>& y) {
-  for (index_t r = 0; r < ranges; ++r) {
-    gs.offs[r + 1] = gs.offs[r] + gs.idx[r].size();
+void splice_ranges(index_t lanes, index_t ranges, GatherScratch<T>& gs,
+                   ThreadPool* pool, SparseVec<T>* ys) {
+  for (index_t v = 0; v < lanes; ++v) {
+    std::size_t total = 0;
+    for (index_t b = v * ranges; b < (v + 1) * ranges; ++b) {
+      gs.offs[b] = total;
+      total += gs.idx[b].size();
+    }
+    ys[v].idx.resize(total);
+    ys[v].vals.resize(total);
   }
-  const std::size_t total = gs.offs[ranges];
-  y.idx.resize(total);
-  y.vals.resize(total);
   parallel_for(
-      ranges,
-      [&](index_t r) {
-        std::copy(gs.idx[r].begin(), gs.idx[r].end(),
-                  y.idx.begin() + gs.offs[r]);
-        std::copy(gs.vals[r].begin(), gs.vals[r].end(),
-                  y.vals.begin() + gs.offs[r]);
-        gs.idx[r].clear();
-        gs.vals[r].clear();
+      lanes * ranges,
+      [&](index_t b) {
+        SparseVec<T>& y = ys[b / ranges];
+        std::copy(gs.idx[b].begin(), gs.idx[b].end(),
+                  y.idx.begin() + gs.offs[b]);
+        std::copy(gs.vals[b].begin(), gs.vals[b].end(),
+                  y.vals.begin() + gs.offs[b]);
+        gs.idx[b].clear();
+        gs.vals[b].clear();
       },
       pool, /*chunk=*/1);
 }
 
-/// Phase-3 gather over a dense accumulator + per-tile flags (CSR form):
-/// emits nonzeros of flagged tiles in index order, restoring the all-zero
-/// workspace invariant. `mask` (optional) suppresses emission at positions
-/// where mask[r] == complement; the accumulator is cleared either way.
-/// Parallel ranges produce bit-identical output to the serial loop.
+/// Phase-3 gather of the CSR form at k lanes: emits lane v's nonzeros of
+/// the tile rows whose row_mask word has bit v, in index order, into
+/// ys[v], and restores the workspace's all-zero y and row_mask. `mask`
+/// (optional) suppresses emission at positions where mask[r] ==
+/// complement; y is cleared either way. Tasks are (lane, tile range)
+/// pairs: the gather_ranges(tiles) ranges are shared out among the lanes,
+/// so a lone vector on a large matrix still assembles in parallel, while a
+/// wide block (one task per lane already) pays no splice; any split gives
+/// bit-identical output.
 template <typename T>
-SparseVec<T> gather_flagged_tiles(index_t n, index_t tiles, index_t nt, T* yd,
-                                  unsigned char* flag, GatherScratch<T>& gs,
-                                  ThreadPool* pool,
-                                  const std::vector<bool>* mask,
-                                  bool complement) {
-  ThreadPool& p = pool ? *pool : ThreadPool::shared();
-  SparseVec<T> y(n);
-  const index_t ranges = gather_ranges(tiles, p);
-
-  const auto assemble = [&](index_t t_begin, index_t t_end,
+void gather_lanes(index_t n, index_t tiles, index_t nt, index_t k, T* y,
+                  std::uint64_t* rmask, GatherScratch<T>& gs, ThreadPool& p,
+                  const std::vector<bool>* mask, bool complement,
+                  SparseVec<T>* ys) {
+  const index_t ranges = std::max<index_t>(1, gather_ranges(tiles, p) / k);
+  const index_t per = ceil_div(tiles, ranges);
+  const auto assemble = [&](index_t v, index_t rg,
                             std::vector<index_t>& out_idx,
                             std::vector<T>& out_vals) {
+    const std::uint64_t bit = std::uint64_t{1} << v;
+    const index_t t_begin = std::min<index_t>(rg * per, tiles);
+    const index_t t_end = std::min<index_t>(t_begin + per, tiles);
     // Size from the flagged-tile count: at most nt entries per flagged
     // tile, so one scan replaces geometric reallocation during the pushes.
     index_t flagged = 0;
-    for (index_t tr = t_begin; tr < t_end; ++tr) flagged += flag[tr] ? 1 : 0;
+    for (index_t tr = t_begin; tr < t_end; ++tr) {
+      flagged += (rmask[tr] & bit) != 0 ? 1 : 0;
+    }
     out_idx.reserve(out_idx.size() + static_cast<std::size_t>(flagged) * nt);
     out_vals.reserve(out_vals.size() + static_cast<std::size_t>(flagged) * nt);
     for (index_t tr = t_begin; tr < t_end; ++tr) {
-      if (!flag[tr]) continue;
-      flag[tr] = 0;
+      if ((rmask[tr] & bit) == 0) continue;
+      if (k == 1) rmask[tr] = 0;  // the lone lane's task owns the word
       const index_t r_begin = tr * nt;
       const index_t r_end = std::min<index_t>(r_begin + nt, n);
       for (index_t r = r_begin; r < r_end; ++r) {
-        if (yd[r] != T{} &&
-            (mask == nullptr || (*mask)[r] != complement)) {
+        T& cell = y[static_cast<std::size_t>(r) * k + v];
+        if (cell != T{} && (mask == nullptr || (*mask)[r] != complement)) {
           out_idx.push_back(r);
-          out_vals.push_back(yd[r]);
+          out_vals.push_back(cell);
         }
-        yd[r] = T{};
+        cell = T{};
       }
     }
   };
-
-  if (ranges <= 1) {
-    assemble(0, tiles, y.idx, y.vals);
-    return y;
+  const index_t tasks = k * ranges;
+  const auto task = [&](index_t b) {
+    const index_t v = b / ranges;
+    if (ranges == 1) {
+      assemble(v, 0, ys[v].idx, ys[v].vals);
+    } else {
+      assemble(v, b - v * ranges, gs.idx[b], gs.vals[b]);
+    }
+  };
+  if (ranges > 1) gs.ensure(tasks);
+  if (tasks == 1) {
+    task(0);
+  } else {
+    parallel_for(tasks, task, &p, /*chunk=*/1);
   }
-  gs.ensure(ranges);
-  const index_t per = ceil_div(tiles, ranges);
-  parallel_for(
-      ranges,
-      [&](index_t r) {
-        const index_t t_begin = std::min<index_t>(r * per, tiles);
-        const index_t t_end = std::min<index_t>(t_begin + per, tiles);
-        assemble(t_begin, t_end, gs.idx[r], gs.vals[r]);
-      },
-      &p, /*chunk=*/1);
-  splice_ranges(ranges, gs, &p, y);
-  return y;
+  if (ranges > 1) splice_ranges(k, ranges, gs, &p, ys);
+  if (k > 1) std::fill(rmask, rmask + tiles, 0);
 }
 
 /// Shard partition of the phase-1 chunk list for a NUMA-sharded pool,
@@ -466,24 +557,37 @@ void side_pass(const TileMatrix<T>& a, const std::vector<index_t>& tiles,
   }
 }
 
-/// The CSR form, y<mask> = A x: the body of tile_spmspv and
-/// tile_spmspv_masked. `form` labels the trace spans; `mask` (optional)
-/// goes to the gather.
-template <typename T>
-SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
-                        SpmspvWorkspace<T>& ws, ThreadPool* pool,
-                        const char* form, const std::vector<bool>* mask,
-                        bool complement) {
+/// The CSR form at k lanes, Y<mask> = A X: the body of tile_spmspv and
+/// tile_spmspv_masked (k = 1) and of tile_spmspm. x is its slot map
+/// `x_ptr` (kEmptyTile: no lane holds the tile), its lane-interleaved
+/// payload `x_tile` (element lj of lane v in slot s at
+/// x_tile[(s·nt + lj)·k + v]), `lanes(t)`, the lane word of a stored tile
+/// t, and `tiles`, its stored tiles in slot order (read only when A has an
+/// extracted part). Lane v's result goes to ys[v], which must hold k
+/// vectors of length A.rows. `form` labels the trace spans; `mask`
+/// (optional) goes to the gather.
+template <typename T, typename LaneFn>
+void csr_spmspm(const TileMatrix<T>& a, const index_t* x_ptr,
+                const T* x_tile, index_t k, LaneFn&& lanes,
+                const std::vector<index_t>& tiles, SpmspvWorkspace<T>& ws,
+                ThreadPool* pool, const char* form,
+                const std::vector<bool>* mask, bool complement,
+                SparseVec<T>* ys) {
   const index_t nt = a.nt;
-  ws.ensure(a.rows, a.tile_rows);
-  T* yd = ws.y_dense.data();
-  unsigned char* flag = ws.tile_flag.data();
+  ThreadPool& p = pool ? *pool : ThreadPool::shared();
+  ws.ensure(a.rows, a.tile_rows, k, nt, static_cast<int>(p.size()));
+  T* y = ws.y.data();
+  std::uint64_t* rmask = ws.row_mask.data();
+  const std::size_t block =
+      static_cast<std::size_t>(nt) * static_cast<std::size_t>(k);
+  const std::size_t stride = SpmspvWorkspace<T>::acc_stride(nt, k);
 
   // Phase 1: tiled part, one task per work-balanced chunk of tile rows
   // (paper Alg. 4 with conversion-time weighted scheduling). A chunk owns
-  // its tile rows outright, so each row's sum has one order. Counters
-  // accumulate into locals and flush once per chunk; with counters
-  // compiled out the adds are dead and the locals fold away.
+  // its tile rows outright, so each row's sum has one order. One slot-map
+  // probe per tile serves every lane; only a stored tile reads its lane
+  // word. Counters accumulate into locals and flush once per chunk; with
+  // counters compiled out the adds are dead and the locals fold away.
   {
     obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", form);
     std::vector<index_t> fallback;
@@ -494,93 +598,122 @@ SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
     }
     const auto nchunks = static_cast<index_t>(cp->size()) - 1;
     const index_t* chunk_ptr = cp->data();
-    const bool have_runs =
-        a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
     const auto chunk_body = [&](index_t c) {
-          T acc[256];  // nt <= 256 by TileMatrix invariant
-          T prod[kProdScratch];
-          std::uint64_t scanned = 0, computed = 0, macs = 0;
-          for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
-            bool any = false;
-            for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
-                 ++t) {
-              ++scanned;
-              const index_t tile_colid = a.tile_col_id[t];
-              const index_t x_offset = x.x_ptr[tile_colid];  // O(1) position
-              if (x_offset == kEmptyTile) continue;  // skip empty x tile
-              ++computed;
-              const offset_t base = a.tile_nnz_ptr[t];
-              const auto tile_nnz =
-                  static_cast<int>(a.tile_nnz_ptr[t + 1] - base);
-              macs += static_cast<std::uint64_t>(tile_nnz);
-              const T* xt =
-                  &x.x_tile[static_cast<std::size_t>(x_offset) * nt];
-              if (!any) {
-                for (index_t i = 0; i < nt; ++i) acc[i] = T{};
-                any = true;
-              }
-              if (have_runs) {
-                intra_tile_accumulate_runs(
-                    &a.vals[base], &a.local_col[base],
-                    a.row_runs.data() + 3 * a.run_ptr[t],
-                    static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
-                    tile_nnz, a.tile_strategy[t], xt, acc, prod);
-              } else {
-                intra_tile_accumulate(
-                    &a.vals[base], &a.local_col[base],
-                    &a.intra_row_ptr[t * (nt + 1)], nt, xt, acc, prod);
-              }
-            }
-            if (any) {
-              const index_t r_begin = tr * nt;
-              const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
-              for (index_t r = r_begin; r < r_end; ++r) {
-                yd[r] = acc[r - r_begin];
-              }
-              flag[tr] = 1;
-            }
+      T* acc = ws.acc.data() +
+               static_cast<std::size_t>(ThreadPool::scratch_slot()) * stride;
+      T prod[kProdScratch];
+      std::uint64_t scanned = 0, computed = 0, macs = 0, lane_macs = 0,
+                    shared = 0;
+      for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
+        std::uint64_t row_word = 0;
+        for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
+             ++t) {
+          ++scanned;
+          const index_t tile_colid = a.tile_col_id[t];
+          const index_t slot = x_ptr[tile_colid];  // O(1) position
+          if (slot == kEmptyTile) continue;  // no lane has this vector tile
+          const std::uint64_t word = lanes(tile_colid);
+          ++computed;
+          const offset_t base = a.tile_nnz_ptr[t];
+          const auto tile_nnz = static_cast<int>(a.tile_nnz_ptr[t + 1] - base);
+          const auto live = static_cast<index_t>(std::popcount(word));
+          macs += static_cast<std::uint64_t>(tile_nnz) *
+                  static_cast<std::uint64_t>(live);
+          lane_macs += static_cast<std::uint64_t>(tile_nnz) *
+                       static_cast<std::uint64_t>(k);
+          shared += static_cast<std::uint64_t>(live - 1);
+          const T* xt = x_tile + static_cast<std::size_t>(slot) * block;
+          if (row_word == 0) std::fill(acc, acc + block, T{});
+          row_word |= word;
+          const std::uint8_t* runs = a.row_runs.data() + 3 * a.run_ptr[t];
+          const auto nruns = static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]);
+          // The panel kernel skips dead lanes at group granularity (16-wide
+          // panels for dense groups, 4-lane nibbles for partial ones); only
+          // near-empty words (less than one lane per 16) take the per-set-
+          // bit kernel, which touches strictly the active lanes.
+          if (k == 1) {
+            intra_tile_accumulate_runs(&a.vals[base], &a.local_col[base],
+                                       runs, nruns, tile_nnz,
+                                       a.tile_strategy[t], xt, acc, prod);
+          } else if (live * 16 >= k) {
+            block_tile_accumulate(&a.vals[base], &a.local_col[base], runs,
+                                  nruns, k, word, xt, acc);
+          } else {
+            block_tile_accumulate_lanes(&a.vals[base], &a.local_col[base],
+                                        runs, nruns, k, word, xt, acc);
           }
-          obs::counter_add(obs::Counter::kTilesScanned, scanned);
-          obs::counter_add(obs::Counter::kTilesSkippedEmpty,
-                           scanned - computed);
-          obs::counter_add(obs::Counter::kTilesComputed, computed);
-          obs::counter_add(obs::Counter::kPayloadMacs, macs);
-          obs::shard_add_tiles(ThreadPool::current_shard(), scanned);
+        }
+        if (row_word != 0) {
+          const index_t r_begin = tr * nt;
+          const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
+          std::copy(acc,
+                    acc + static_cast<std::size_t>(r_end - r_begin) *
+                              static_cast<std::size_t>(k),
+                    y + static_cast<std::size_t>(r_begin) *
+                            static_cast<std::size_t>(k));
+          rmask[tr] = row_word;  // tile row owned by this chunk
+        }
+      }
+      obs::counter_add(obs::Counter::kTilesScanned, scanned);
+      obs::counter_add(obs::Counter::kTilesSkippedEmpty, scanned - computed);
+      obs::counter_add(obs::Counter::kTilesComputed, computed);
+      obs::counter_add(obs::Counter::kPayloadMacs, macs);
+      obs::counter_add(obs::Counter::kBatchLaneMacs, lane_macs);
+      obs::counter_add(obs::Counter::kBatchTilesShared, shared);
+      obs::shard_add_tiles(ThreadPool::current_shard(), scanned);
     };
-    ThreadPool& p1 = pool ? *pool : ThreadPool::shared();
-    if (p1.num_shards() > 1 && nchunks > 1) {
+    if (p.num_shards() > 1 && nchunks > 1) {
       // NUMA-sharded dispatch: each shard's workers drain the chunks whose
       // tile rows live (first-touch) on their node, stealing cross-node
       // only once their shard is dry.
       const std::vector<index_t>& sb =
-          phase1_shard_bounds(ws, a, chunk_ptr, nchunks, p1.num_shards());
-      p1.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
+          phase1_shard_bounds(ws, a, chunk_ptr, nchunks, p.num_shards());
+      p.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
         for (index_t c = begin; c < end; ++c) chunk_body(c);
       });
     } else {
-      parallel_for(nchunks, chunk_body, pool, /*chunk=*/1);
+      parallel_for(nchunks, chunk_body, &p, /*chunk=*/1);
     }
   }
 
-  // Phase 2: the extracted side part, at one lane over x's tile list.
+  // Phase 2: the extracted side part over x's tile list. Cell r·k + v is
+  // lane v of row r; its tile row is cell / (k·nt), found, like the row,
+  // by multiply and shift rather than a division per pair.
   if (a.extracted.nnz() > 0) {
     obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
-    side_pass(
-        a, x.tiles, x.x_tile.data(), 1,
-        [](index_t) { return std::uint64_t{1}; }, ws.range_ptr, ws.gather,
-        pool, [&](index_t r, T prod) {
-          yd[r] += prod;
-          flag[r / nt] = 1;
-        });
+    const IndexDiv row_of(k);
+    const IndexDiv tile_row_of(k * nt);
+    side_pass(a, tiles, x_tile, k, lanes, ws.range_ptr, ws.gather, &p,
+              [&](index_t cell, T prod) {
+                y[cell] += prod;
+                rmask[tile_row_of(cell)] |= std::uint64_t{1}
+                                            << (cell - row_of(cell) * k);
+              });
   }
 
-  // Phase 3: gather touched tile rows into the sparse result and restore
+  // Phase 3: gather touched tile rows into the sparse results and restore
   // the workspace's all-zero invariant.
   obs::TraceSpan span("spmspv/phase3_gather", "spmspv", form);
   obs::counter_add(obs::Counter::kGatherSlots,
-                   static_cast<std::uint64_t>(a.tile_rows));
-  return gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag, ws.gather,
-                              pool, mask, complement);
+                   static_cast<std::uint64_t>(k) *
+                       static_cast<std::uint64_t>(a.tile_rows));
+  gather_lanes(a.rows, a.tile_rows, nt, k, y, rmask, ws.gather, p, mask,
+               complement, ys);
+}
+
+/// tile_spmspv and tile_spmspv_masked: the CSR form at one lane, whose
+/// word is 1 on every stored tile.
+template <typename T>
+SparseVec<T> csr_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
+                        SpmspvWorkspace<T>& ws, ThreadPool* pool,
+                        const char* form, const std::vector<bool>* mask,
+                        bool complement) {
+  SparseVec<T> y(a.rows);
+  csr_spmspm(
+      a, x.x_ptr.data(), x.x_tile.data(), 1,
+      [](index_t) { return std::uint64_t{1}; }, x.tiles, ws, pool, form,
+      mask, complement, &y);
+  return y;
 }
 
 }  // namespace detail
@@ -625,6 +758,7 @@ SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
   return detail::csr_spmspv(a, x, ws, pool, "masked", &mask_dense,
                             complement);
 }
+
 
 /// CSC-form TileSpMSpV over semiring S (paper §3.2.3: "we provide two
 /// forms of SpMSpV algorithms: CSR-SpMSpV and CSC-SpMSpV", selected by
@@ -848,7 +982,7 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
           merge_words(w_begin, w_end, ws.gather.idx[r], ws.gather.vals[r]);
         },
         &p, /*chunk=*/1);
-    detail::splice_ranges(ranges, ws.gather, &p, y);
+    detail::splice_ranges(1, ranges, ws.gather, &p, &y);
   }
   for (index_t bk = 0; bk < buckets; ++bk) ws.priv_vals[bk].clear();
   return y;

@@ -2,9 +2,9 @@
 // traversal of the tiled matrix. This is now a thin front over the
 // block-of-k SpMSpM engine (core/tile_spmspm.hpp): vectors are packed into
 // TileVectorBlock SoA blocks of up to 64 lanes and each block rides one
-// broadcast-FMA traversal. k = 1 delegates to tile_spmspv, preserving its
-// exact (bitwise) output; larger batches are numerically equivalent per
-// lane with a lane-major summation order.
+// broadcast-FMA traversal. The engine is tile_spmspv's walk at k lanes, so
+// a one-vector batch is bitwise tile_spmspv; larger batches are
+// numerically equivalent per lane with a lane-major summation order.
 #pragma once
 
 #include <algorithm>
@@ -29,12 +29,7 @@ std::vector<SparseVec<T>> tile_spmspv_batch(
     ThreadPool* pool = nullptr) {
   const auto k = static_cast<index_t>(xs.size());
   std::vector<SparseVec<T>> ys(static_cast<std::size_t>(k));
-  if (k == 0) return ys;
-  if (k == 1) {
-    ys[0] = tile_spmspv(a, xs[0], pool);
-    return ys;
-  }
-  SpmspmWorkspace<T> ws;
+  SpmspvWorkspace<T> ws;
   for (index_t base = 0; base < k; base += TileVectorBlock<T>::kMaxLanes) {
     const index_t kb =
         std::min<index_t>(TileVectorBlock<T>::kMaxLanes, k - base);

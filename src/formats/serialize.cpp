@@ -186,9 +186,8 @@ TileMatrix<value_t> read_tile_matrix(std::istream& in) {
   m.extracted.col_idx = read_vec<index_t>(in, budget);
   m.extracted.vals = read_vec<value_t>(in, budget);
   // Trust boundary: validate the stored payload *before* the derived-index
-  // builders below index through it (the derived arrays are still empty at
-  // this point, so their agreement checks are skipped).
-  require_valid(validate_tile_matrix(m), "read_tile_matrix");
+  // builders below index through it.
+  require_valid(validate_tile_payload(m), "read_tile_matrix");
   // The side indices and scheduling chunks are derived data; rebuild
   // instead of storing.
   m.build_side_index();

@@ -483,12 +483,14 @@ ValidationResult validate_tile_vector_block(const B& b) {
 /// Numeric tiled matrix (paper §3.2.1). Gates: grid shape; tile-grid CSR;
 /// intra-tile payload (monotone local row pointers summing to each tile's
 /// range, local columns sorted, in range, and clipped to the matrix edge);
-/// extracted COO (in-range, row-major sorted, dims matching); derived
-/// side-index / run-list / strategy / chunk arrays agreeing with the
-/// payload whenever they are present (they are absent mid-deserialization
-/// and on hand-built test matrices).
+/// extracted COO (in-range, row-major sorted, dims matching); then, with
+/// `derived`, the derived arrays. The run lists and tile strategies are an
+/// invariant every multiply relies on (from_csr, the v1 reader and the v2
+/// mapper all build or require them) and must agree with the payload
+/// exactly; the side indices and scheduling chunks are checked whenever
+/// they are present.
 template <typename TM>
-ValidationResult validate_tile_matrix(const TM& m) {
+ValidationResult validate_tile_matrix(const TM& m, bool derived = true) {
   using std::to_string;
   ValidationResult r;
   // Gate 0: placement bookkeeping. A matrix whose arrays are views (arena
@@ -642,7 +644,9 @@ ValidationResult validate_tile_matrix(const TM& m) {
     }
   }
 
-  // Gate 5: derived arrays, when present.
+  if (!derived) return r;
+
+  // Gate 5: derived arrays.
   const auto extracted_nnz = static_cast<std::int64_t>(m.extracted.nnz());
   if (!m.side_col_ptr.empty()) {
     if (!detail::check_ptr_array(r, m.side_col_ptr,
@@ -702,73 +706,82 @@ ValidationResult validate_tile_matrix(const TM& m) {
       }
     }
   }
-  if (!m.run_ptr.empty()) {
-    if (m.row_runs.size() % 3 != 0) {
-      r.add("row_runs/length", "run payload size " + to_string(m.row_runs.size()) +
-                                   " is not a multiple of 3");
+  // Run lists, required.
+  if (m.row_runs.size() % 3 != 0) {
+    r.add("row_runs/length", "run payload size " +
+                                 to_string(m.row_runs.size()) +
+                                 " is not a multiple of 3");
+    return r;
+  }
+  if (!detail::check_ptr_array(r, m.run_ptr,
+                               static_cast<std::size_t>(ntiles) + 1,
+                               static_cast<std::int64_t>(m.row_runs.size() / 3),
+                               "run_ptr")) {
+    return r;
+  }
+  if (m.tile_strategy.size() != static_cast<std::size_t>(ntiles)) {
+    r.add("tile_strategy/length",
+          "expected " + to_string(ntiles) + " strategy bytes, got " +
+              to_string(m.tile_strategy.size()));
+    return r;
+  }
+  for (std::int64_t t = 0; t < ntiles; ++t) {
+    if (m.tile_strategy[t] > TM::kRunTiny) {
+      r.add("tile_strategy/range",
+            "tile " + to_string(t) + " has unknown strategy byte " +
+                to_string(static_cast<int>(m.tile_strategy[t])));
       return r;
     }
-    if (!detail::check_ptr_array(r, m.run_ptr,
-                                 static_cast<std::size_t>(ntiles) + 1,
-                                 static_cast<std::int64_t>(m.row_runs.size() / 3),
-                                 "run_ptr")) {
-      return r;
-    }
-    if (m.tile_strategy.size() != static_cast<std::size_t>(ntiles)) {
-      r.add("tile_strategy/length",
-            "expected " + to_string(ntiles) + " strategy bytes, got " +
-                to_string(m.tile_strategy.size()));
-      return r;
-    }
-    for (std::int64_t t = 0; t < ntiles; ++t) {
-      if (m.tile_strategy[t] > TM::kRunTiny) {
-        r.add("tile_strategy/range",
-              "tile " + to_string(t) + " has unknown strategy byte " +
-                  to_string(static_cast<int>(m.tile_strategy[t])));
-        return r;
-      }
-    }
-    // Exact agreement of the run list with the intra-tile payload: one run
-    // per non-empty local row, count and contiguity recomputed.
-    for (std::int64_t t = 0; t < ntiles; ++t) {
-      const auto* p = &m.intra_row_ptr[static_cast<std::size_t>(t) * (m.nt + 1)];
-      const offset_t base = m.tile_nnz_ptr[t];
-      offset_t run = m.run_ptr[t];
-      for (index_t lr = 0; lr < m.nt; ++lr) {
-        const int c = p[lr + 1] - p[lr];
-        if (c <= 0) continue;
-        if (run >= m.run_ptr[t + 1]) {
-          r.add("row_runs/agreement",
-                "tile " + to_string(t) + " has fewer runs than non-empty rows");
-          return r;
-        }
-        const std::uint8_t* triple = &m.row_runs[static_cast<std::size_t>(run) * 3];
-        const std::uint8_t* rc = &m.local_col[base + p[lr]];
-        std::uint8_t contig = 1;
-        for (int i = 1; i < c; ++i) {
-          if (rc[i] != static_cast<std::uint8_t>(rc[0] + i)) {
-            contig = 0;
-            break;
-          }
-        }
-        if (triple[0] != lr || triple[1] != c - 1 || triple[2] != contig) {
-          r.add("row_runs/agreement",
-                "tile " + to_string(t) + " run " + to_string(run) +
-                    " disagrees with the intra-tile payload at local row " +
-                    to_string(lr));
-          return r;
-        }
-        ++run;
-      }
-      if (run != m.run_ptr[t + 1]) {
+  }
+  // Exact agreement of the run list with the intra-tile payload: one run
+  // per non-empty local row, count and contiguity recomputed.
+  for (std::int64_t t = 0; t < ntiles; ++t) {
+    const auto* p = &m.intra_row_ptr[static_cast<std::size_t>(t) * (m.nt + 1)];
+    const offset_t base = m.tile_nnz_ptr[t];
+    offset_t run = m.run_ptr[t];
+    for (index_t lr = 0; lr < m.nt; ++lr) {
+      const int c = p[lr + 1] - p[lr];
+      if (c <= 0) continue;
+      if (run >= m.run_ptr[t + 1]) {
         r.add("row_runs/agreement",
-              "tile " + to_string(t) + " has more runs than non-empty rows");
+              "tile " + to_string(t) + " has fewer runs than non-empty rows");
         return r;
       }
+      const std::uint8_t* triple =
+          &m.row_runs[static_cast<std::size_t>(run) * 3];
+      const std::uint8_t* rc = &m.local_col[base + p[lr]];
+      std::uint8_t contig = 1;
+      for (int i = 1; i < c; ++i) {
+        if (rc[i] != static_cast<std::uint8_t>(rc[0] + i)) {
+          contig = 0;
+          break;
+        }
+      }
+      if (triple[0] != lr || triple[1] != c - 1 || triple[2] != contig) {
+        r.add("row_runs/agreement",
+              "tile " + to_string(t) + " run " + to_string(run) +
+                  " disagrees with the intra-tile payload at local row " +
+                  to_string(lr));
+        return r;
+      }
+      ++run;
+    }
+    if (run != m.run_ptr[t + 1]) {
+      r.add("row_runs/agreement",
+            "tile " + to_string(t) + " has more runs than non-empty rows");
+      return r;
     }
   }
   detail::check_row_chunks(r, m.row_chunk_ptr, m.tile_rows, "row_chunk_ptr");
   return r;
+}
+
+/// The stored payload of a numeric tiled matrix alone, which is what the
+/// builders of its derived arrays index through: a reader checks it before
+/// it builds them.
+template <typename TM>
+ValidationResult validate_tile_payload(const TM& m) {
+  return validate_tile_matrix(m, /*derived=*/false);
 }
 
 /// Packed-byte tiled matrix (fixed nt = 16): grid CSR checks plus nibble

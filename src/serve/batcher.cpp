@@ -201,7 +201,7 @@ void Batcher::flush_spmspv(SpmspvQueue q) {
       max_flush_k_ = std::max<std::uint64_t>(max_flush_k_, k);
     } catch (...) {
       // A multiply cut short can leave cells of the block set; start over.
-      spmspm_ws_ = SpmspmWorkspace<value_t>{};
+      spmspm_ws_ = SpmspvWorkspace<value_t>{};
       for (std::size_t i = lo; i < hi; ++i) {
         q.promises[i].set_exception(std::current_exception());
       }

@@ -105,7 +105,7 @@ class Batcher {
 
   // Scratch of every SpMSpV flush (no rows × k block per flush). Only the
   // flusher thread, which alone runs flush_spmspv, touches it: no lock.
-  SpmspmWorkspace<value_t> spmspm_ws_;
+  SpmspvWorkspace<value_t> spmspm_ws_;
 
   std::thread flusher_;  // last member: starts in ctor, joins in dtor
 };

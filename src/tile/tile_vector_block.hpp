@@ -7,7 +7,7 @@
 // 64-bit source words ride. The payload is lane-interleaved: element i of
 // lane v lives at x_tile[(x_ptr[i/nt]*nt + i%nt)*k + v], so one matrix
 // nonzero touches k consecutive doubles — the unit stride the engine's
-// broadcast-FMA (simd::axpy_lanes) needs.
+// lane panels (simd::lane_panel_update, lane_panel16_update) need.
 #pragma once
 
 #include <bit>
@@ -59,19 +59,28 @@ struct TileVectorBlock {
   }
 
   /// Packs k already-tiled vectors (equal n and nt) into the SoA block.
-  /// The tile-order slot numbering matches TileVector::from_sparse.
+  /// The tile-order slot numbering matches TileVector::from_sparse. Throws
+  /// std::invalid_argument unless 0 <= k <= kMaxLanes and every lane has
+  /// the first lane's length, tile size and a slot map to match.
   static TileVectorBlock from_tiled(const TileVector<T>* xs, index_t k,
                                     ThreadPool* pool = nullptr) {
-    assert(k >= 0 && k <= kMaxLanes);
+    require_lanes(k, "from_tiled");
     TileVectorBlock b;
     b.k = k;
     if (k == 0) return b;
     b.n = xs[0].n;
     b.nt = xs[0].nt;
-    for (index_t v = 1; v < k; ++v) {
-      assert(xs[v].n == b.n && xs[v].nt == b.nt);
-    }
     const index_t tiles = ceil_div(b.n, b.nt);
+    for (index_t v = 0; v < k; ++v) {
+      if (xs[v].n != b.n || xs[v].nt != b.nt ||
+          xs[v].x_ptr.size() != static_cast<std::size_t>(tiles)) {
+        throw std::invalid_argument(
+            "TileVectorBlock::from_tiled: lane " + std::to_string(v) +
+            " has length " + std::to_string(xs[v].n) + " and tile size " +
+            std::to_string(xs[v].nt) + "; lane 0 has " +
+            std::to_string(b.n) + " and " + std::to_string(b.nt));
+      }
+    }
     b.active.assign(static_cast<std::size_t>(tiles), 0);
     b.x_ptr.assign(static_cast<std::size_t>(tiles), kEmptyTile);
     // Bit-planes: each slot's word is owned by one loop iteration, so the
@@ -129,11 +138,13 @@ struct TileVectorBlock {
   /// Builds the block straight from plain sparse vectors; the per-lane
   /// TileVector conversions run in parallel (they are independent). A
   /// lane's conversion error (std::out_of_range on an index outside
-  /// [0, n)) is rethrown on the caller, the first lane's first.
+  /// [0, n)) is rethrown on the caller, the first lane's first; more than
+  /// kMaxLanes vectors, or lanes of different lengths, throw
+  /// std::invalid_argument (the lane count before any lane is converted).
   static TileVectorBlock from_sparse(const std::vector<SparseVec<T>>& xs,
                                      index_t nt, ThreadPool* pool = nullptr) {
+    require_lanes(static_cast<std::int64_t>(xs.size()), "from_sparse");
     const auto k = static_cast<index_t>(xs.size());
-    assert(k <= kMaxLanes);
     std::vector<TileVector<T>> tiled(static_cast<std::size_t>(k));
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(k));
     parallel_for(
@@ -167,6 +178,16 @@ struct TileVectorBlock {
       }
     }
     return x;
+  }
+
+ private:
+  static void require_lanes(std::int64_t k, const char* who) {
+    if (k < 0 || k > kMaxLanes) {
+      throw std::invalid_argument(std::string("TileVectorBlock::") + who +
+                                  ": " + std::to_string(k) +
+                                  " lanes; a block holds at most " +
+                                  std::to_string(kMaxLanes));
+    }
   }
 };
 

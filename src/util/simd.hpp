@@ -319,48 +319,6 @@ inline void packed_flat_scan(const double* vals, const std::uint8_t* packed,
 #endif
 
 // ---------------------------------------------------------------------
-// axpy_lanes: acc[v] += a * x[v] for v in [0, k) — the block-of-k SpMSpM
-// engine's inner step. One matrix nonzero `a` is broadcast and FMA'd
-// across the k batch lanes of a lane-interleaved accumulator/payload row,
-// so the nonzero (and its metadata) is read once for the whole batch.
-// ---------------------------------------------------------------------
-inline void axpy_lanes_scalar(double a, const double* x, double* acc, int k) {
-  for (int v = 0; v < k; ++v) acc[v] += a * x[v];
-}
-
-#if defined(TILESPMSPV_SIMD_AVX2)
-inline void axpy_lanes(double a, const double* x, double* acc, int k) {
-  const __m256d av = _mm256_set1_pd(a);
-  int v = 0;
-  for (; v + 4 <= k; v += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + v);
-    const __m256d cv = _mm256_loadu_pd(acc + v);
-#if defined(__FMA__)
-    _mm256_storeu_pd(acc + v, _mm256_fmadd_pd(av, xv, cv));
-#else
-    _mm256_storeu_pd(acc + v, _mm256_add_pd(cv, _mm256_mul_pd(av, xv)));
-#endif
-  }
-  for (; v < k; ++v) acc[v] += a * x[v];
-}
-#elif defined(TILESPMSPV_SIMD_SSE2)
-inline void axpy_lanes(double a, const double* x, double* acc, int k) {
-  const __m128d av = _mm_set1_pd(a);
-  int v = 0;
-  for (; v + 2 <= k; v += 2) {
-    const __m128d xv = _mm_loadu_pd(x + v);
-    const __m128d cv = _mm_loadu_pd(acc + v);
-    _mm_storeu_pd(acc + v, _mm_add_pd(cv, _mm_mul_pd(av, xv)));
-  }
-  for (; v < k; ++v) acc[v] += a * x[v];
-}
-#else
-inline void axpy_lanes(double a, const double* x, double* acc, int k) {
-  axpy_lanes_scalar(a, x, acc, k);
-}
-#endif
-
-// ---------------------------------------------------------------------
 // lane_panel_update: acc[v] += sum_i vals[i] * x[cols[i]*stride + v] for
 // v in [0, w), w <= 4 — one tile row × one 4-lane group of the SpMSpM
 // accumulator block. Keeping the panel in a register across the row's

@@ -5,6 +5,7 @@
 // the synthetic suite) and values default to double precision.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -38,5 +39,23 @@ template <typename T>
 constexpr T round_up(T a, T b) {
   return ceil_div(a, b) * b;
 }
+
+/// floor(a / d) for 0 <= a < 2^31 by one multiply and shift, for loops that
+/// divide many indices by one divisor 1 <= d < 2^31. With s = 31 +
+/// ceil(log2 d) and m = ceil(2^s / d) <= 2^32, a·m / 2^s exceeds a / d by
+/// less than a / 2^s < 1/d, so the floor is exact, and a·m < 2^63.
+struct IndexDiv {
+  int s;
+  std::uint64_t m;
+
+  explicit IndexDiv(index_t d)
+      : s(31 + std::bit_width(static_cast<std::uint32_t>(d - 1))),
+        m(((std::uint64_t{1} << s) + static_cast<std::uint64_t>(d) - 1) /
+          static_cast<std::uint64_t>(d)) {}
+
+  index_t operator()(index_t a) const {
+    return static_cast<index_t>((static_cast<std::uint64_t>(a) * m) >> s);
+  }
+};
 
 }  // namespace tilespmspv

@@ -68,7 +68,7 @@ struct FormRunner {
 
   std::vector<SparseVec<value_t>> run(ThreadPool& pool, int reps) const {
     SpmspvWorkspace<value_t> ws;
-    SpmspmWorkspace<value_t> block_ws;
+    SpmspvWorkspace<value_t> block_ws;
     SemiringOperator<PlusTimes<value_t>> sop(a, 16, 2, &pool);
     std::vector<TileVector<value_t>> xts;
     for (const SparseVec<value_t>& x : xs) {

@@ -122,28 +122,6 @@ TEST(FuzzDifferential, SimdMicroKernelsMatchScalarTwins) {
   }
 }
 
-// Block-engine broadcast-FMA: lane counts sweep 0..66 to hit the empty,
-// single-lane, full 4-wide AVX2 groups and the 1-3 lane tail. FMA fuses
-// the multiply-add rounding, so comparison is tolerance-based.
-TEST(FuzzDifferential, SimdAxpyLanesMatchesScalarTwin) {
-  Prng rng(0xA4B7);
-  for (int round = 0; round < 200; ++round) {
-    const int k = static_cast<int>(rng.next_below(67));
-    const double a = rng.next_double(-2.0, 2.0);
-    std::vector<double> x(k), acc_a(k), acc_b(k);
-    for (int v = 0; v < k; ++v) {
-      x[v] = rng.next_double(-2.0, 2.0);
-      acc_a[v] = acc_b[v] = rng.next_double(-1.0, 1.0);
-    }
-    simd::axpy_lanes(a, x.data(), acc_a.data(), k);
-    simd::axpy_lanes_scalar(a, x.data(), acc_b.data(), k);
-    for (int v = 0; v < k; ++v) {
-      ASSERT_NEAR(acc_a[v], acc_b[v], 1e-12 * (1.0 + std::abs(acc_b[v])))
-          << "v=" << v << " k=" << k;
-    }
-  }
-}
-
 // Row-panel kernel of the block engine: a 4-lane accumulator panel updated
 // across a row's entries. Sweeps entry counts, strides (block widths) and
 // panel widths 1..4 (the k % 4 tail).

@@ -38,7 +38,7 @@ TEST_P(SpmspmSweep, EveryLaneMatchesSingleVectorKernel) {
   const TileVectorBlock<value_t> xb =
       TileVectorBlock<value_t>::from_tiled(xs, &pool);
 
-  SpmspmWorkspace<value_t> ws;
+  SpmspvWorkspace<value_t> ws;
   const auto ys = tile_spmspm(tiled, xb, ws, &pool);
   ASSERT_EQ(ys.size(), static_cast<std::size_t>(k));
   for (int v = 0; v < k; ++v) {
@@ -60,6 +60,72 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<index_t>(16, 32, 64),
                        ::testing::Values(1, 3, 8, 64),
                        ::testing::Values<index_t>(0, 2)));
+
+// At one lane the block engine is the CSR form: the same walk, the same run
+// kernel, the same side pass and the same gather, so a one-lane block is
+// bitwise tile_spmspv's result on every pool. The tall matrix has more than
+// 4096 tile rows, so both gather on more than one range per lane.
+TEST(SpmspmBlock, OneLaneIsTheCsrForm) {
+  struct Case {
+    index_t rows, cols;
+    double density;
+    std::uint64_t seed;
+  };
+  for (const Case c :
+       {Case{700, 600, 0.012, 4201}, Case{66000, 2000, 0.002, 4202}}) {
+    const Csr<value_t> a = Csr<value_t>::from_coo(
+        gen_erdos_renyi(c.rows, c.cols, c.density, c.seed));
+    const TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
+    ASSERT_GT(tiled.extracted.nnz(), 0);
+    for (const double sparsity : {0.2, 0.05, 0.01, 0.002}) {
+      const auto xt = TileVector<value_t>::from_sparse(
+          gen_sparse_vector(c.cols, sparsity, 4250), 16);
+      const auto xb = TileVectorBlock<value_t>::from_tiled(&xt, 1);
+      for (const std::size_t threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        const SparseVec<value_t> y = tile_spmspv(tiled, xt, &pool);
+        const auto ys = tile_spmspm(tiled, xb, &pool);
+        ASSERT_EQ(ys.size(), 1u);
+        EXPECT_EQ(ys[0].idx, y.idx)
+            << c.rows << " rows, sparsity " << sparsity << ", " << threads
+            << " threads";
+        EXPECT_EQ(ys[0].vals, y.vals)
+            << c.rows << " rows, sparsity " << sparsity << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+// The block's lanes must agree on their length and tile size, and a block
+// holds at most kMaxLanes of them; both are checked in every build, before
+// any lane's slot map is read (a 40-long lane in a 600-long block was read
+// 35 tiles past its slot map).
+TEST(SpmspmBlock, FromTiledRejectsMismatchedLanes) {
+  const std::vector<SparseVec<value_t>> mixed = {
+      gen_sparse_vector(600, 0.05, 31), gen_sparse_vector(40, 0.2, 32)};
+  EXPECT_THROW(TileVectorBlock<value_t>::from_sparse(mixed, 16),
+               std::invalid_argument);
+  const std::vector<TileVector<value_t>> tiled = {
+      TileVector<value_t>::from_sparse(mixed[0], 16),
+      TileVector<value_t>::from_sparse(mixed[1], 16)};
+  EXPECT_THROW(TileVectorBlock<value_t>::from_tiled(tiled),
+               std::invalid_argument);
+  const std::vector<TileVector<value_t>> wrong_nt = {
+      TileVector<value_t>::from_sparse(mixed[0], 16),
+      TileVector<value_t>::from_sparse(mixed[0], 32)};
+  EXPECT_THROW(TileVectorBlock<value_t>::from_tiled(wrong_nt),
+               std::invalid_argument);
+  const std::vector<SparseVec<value_t>> too_many(
+      TileVectorBlock<value_t>::kMaxLanes + 1, SparseVec<value_t>(100));
+  EXPECT_THROW(TileVectorBlock<value_t>::from_sparse(too_many, 16),
+               std::invalid_argument);
+  // kMaxLanes lanes still fit.
+  const std::vector<SparseVec<value_t>> full(
+      TileVectorBlock<value_t>::kMaxLanes, SparseVec<value_t>(100));
+  EXPECT_EQ(TileVectorBlock<value_t>::from_sparse(full, 16).k,
+            TileVectorBlock<value_t>::kMaxLanes);
+}
 
 TEST(SpmspmBlock, FromSparseRoundTripsAndValidates) {
   std::vector<SparseVec<value_t>> xs;
@@ -156,7 +222,7 @@ TEST(SpmspmBlock, RejectsOperandOfWrongShape) {
   const std::vector<SparseVec<value_t>> short_xs = {
       gen_sparse_vector(40, 0.2, 24), gen_sparse_vector(40, 0.2, 25)};
   const auto short_x = TileVectorBlock<value_t>::from_sparse(short_xs, 16);
-  SpmspmWorkspace<value_t> ws;
+  SpmspvWorkspace<value_t> ws;
   EXPECT_THROW(tile_spmspm(tiled, short_x, ws, &pool), std::invalid_argument);
   EXPECT_THROW(tile_spmspm(tiled, short_x), std::invalid_argument);
   const std::vector<SparseVec<value_t>> xs = {gen_sparse_vector(600, 0.05, 26)};
@@ -255,7 +321,8 @@ TEST(SpmspmBlock, ForeignPoolWorkerInvocationStaysInBounds) {
   // per-slot accumulators with its foreign slot (out of bounds for the
   // small pool). The dispatch now rebinds slots, so the call must both
   // stay in bounds (assertion-backed in debug builds) and produce the same
-  // answer as a plain top-level call.
+  // answer as a plain top-level call. tile_spmspv runs the same walk with
+  // the same per-slot accumulators, so it is called the same way.
   Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(400, 400, 0.02, 5100));
   TileMatrix<value_t> tiled = TileMatrix<value_t>::from_csr(a, 16, 2);
@@ -266,10 +333,13 @@ TEST(SpmspmBlock, ForeignPoolWorkerInvocationStaysInBounds) {
   }
   const auto xb = TileVectorBlock<value_t>::from_tiled(xs, nullptr);
   const auto expect = tile_spmspm(tiled, xb);
+  const SparseVec<value_t> expect_csr = tile_spmspv(tiled, xs[0]);
 
   ThreadPool outer(4);
   ThreadPool inner(1);
   std::vector<std::vector<SparseVec<value_t>>> got(
+      static_cast<std::size_t>(outer.size()));
+  std::vector<SparseVec<value_t>> got_csr(
       static_cast<std::size_t>(outer.size()));
   parallel_for(
       static_cast<index_t>(outer.size()),
@@ -277,6 +347,8 @@ TEST(SpmspmBlock, ForeignPoolWorkerInvocationStaysInBounds) {
         // Every outer slot (workers and caller) runs the engine through the
         // foreign 1-thread pool.
         got[static_cast<std::size_t>(i)] = tile_spmspm(tiled, xb, &inner);
+        got_csr[static_cast<std::size_t>(i)] =
+            tile_spmspv(tiled, xs[0], &inner);
       },
       &outer, /*chunk=*/1);
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -286,6 +358,8 @@ TEST(SpmspmBlock, ForeignPoolWorkerInvocationStaysInBounds) {
                                expect[static_cast<std::size_t>(v)]))
           << "outer slot " << i << " lane " << v;
     }
+    EXPECT_EQ(got_csr[i].idx, expect_csr.idx) << "outer slot " << i;
+    EXPECT_EQ(got_csr[i].vals, expect_csr.vals) << "outer slot " << i;
   }
 }
 

@@ -125,8 +125,8 @@ TEST(TileSpmspv, WorkspaceReuseIsClean) {
   SparseVec<value_t> y2 = tile_spmspv(tiled, xt2, ws);
   EXPECT_TRUE(approx_equal(y2, spmspv_rowwise_reference(a, x2)));
   // Workspace invariant: everything back to zero.
-  for (const auto v : ws.y_dense) EXPECT_EQ(v, 0.0);
-  for (const auto f : ws.tile_flag) EXPECT_EQ(f, 0);
+  for (const auto v : ws.y) EXPECT_EQ(v, 0.0);
+  for (const auto f : ws.row_mask) EXPECT_EQ(f, 0u);
 }
 
 TEST(TileSpmspv, ExtractedPartContributes) {

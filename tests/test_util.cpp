@@ -2,7 +2,9 @@
 // bit operations, statistics, and table formatting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/bitops.hpp"
 #include "util/prng.hpp"
@@ -25,6 +27,29 @@ TEST(Types, RoundUp) {
   EXPECT_EQ(round_up(10, 4), 12);
   EXPECT_EQ(round_up(12, 4), 12);
   EXPECT_EQ(round_up(0, 4), 0);
+}
+
+TEST(Types, IndexDivIsExactFloorDivision) {
+  const index_t kMax = std::numeric_limits<index_t>::max();
+  std::vector<index_t> divisors;
+  for (index_t d = 1; d <= 300; ++d) divisors.push_back(d);
+  for (const index_t d : {1000, 4096, 16384, 65535, 1 << 20, 999999937,
+                          (1 << 30) + 1, kMax - 1, kMax}) {
+    divisors.push_back(d);
+  }
+  Prng rng(0x1D1F);
+  for (const index_t d : divisors) {
+    const IndexDiv div(d);
+    std::vector<index_t> as = {0, 1, d - 1, d, kMax, kMax - 1};
+    if (d < kMax / 2) as.push_back(2 * d - 1);
+    for (int i = 0; i < 200; ++i) {
+      as.push_back(static_cast<index_t>(rng.next_below(
+          static_cast<std::uint64_t>(kMax) + 1)));
+    }
+    for (const index_t a : as) {
+      ASSERT_EQ(div(a), a / d) << "a=" << a << " d=" << d;
+    }
+  }
 }
 
 TEST(Prng, DeterministicForSameSeed) {

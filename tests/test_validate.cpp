@@ -316,6 +316,23 @@ TEST(ValidateTileMatrix, CatchesRunListAndStrategyViolations) {
   EXPECT_FALSE(validate_tile_matrix(bad).ok());
 }
 
+// Run lists are a TileMatrix invariant: every multiply walks them, so a
+// matrix without them is refused rather than read past run_ptr's end.
+TEST(ValidateTileMatrix, RejectsMatrixWithoutRunLists) {
+  auto bad = tiled();
+  bad.run_ptr.clear();
+  bad.row_runs.clear();
+  bad.tile_strategy.clear();
+  expect_issue(validate_tile_matrix(bad), "run_ptr/length");
+  // The stored payload alone, which a reader checks before it builds the
+  // run lists, is still valid.
+  EXPECT_TRUE(validate_tile_payload(bad).ok());
+
+  bad = tiled();
+  bad.tile_strategy.clear();
+  expect_issue(validate_tile_matrix(bad), "tile_strategy/length");
+}
+
 TEST(ValidateTileMatrix, CatchesChunkCoverageViolations) {
   auto m = tiled();
   ASSERT_GE(m.row_chunk_ptr.size(), 2u);
