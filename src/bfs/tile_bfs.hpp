@@ -103,12 +103,13 @@ struct BfsResult {
   }
 };
 
-/// Hoisted per-query scratch (frontier bit vectors, slot lists, chunk
-/// boundaries, produced-slot buckets), mirroring SpmspvWorkspace: create
-/// once, pass to TileBfs::run repeatedly, and steady-state BFS levels
-/// allocate nothing. A workspace adapts to whatever graph size / tile
-/// size it is used with, but must not be shared by concurrent runs. The
-/// contents are an implementation detail of the BFS engine.
+/// Hoisted per-query scratch (frontier bit vectors, frontier segments,
+/// per-share output words and buckets, chunk bounds), mirroring
+/// SpmspvWorkspace: create once, pass to TileBfs::run repeatedly, and
+/// steady-state BFS levels allocate nothing. A workspace adapts to
+/// whatever graph size / tile size / pool size it is used with, but must
+/// not be shared by concurrent runs. The contents are an implementation
+/// detail of the BFS engine.
 class BfsWorkspace {
  public:
   BfsWorkspace();
@@ -144,12 +145,16 @@ class TileBfs {
   TileBfs(TileBfs&&) noexcept;
   TileBfs& operator=(TileBfs&&) noexcept;
 
-  /// One-shot query: creates a fresh workspace internally (thread-safe for
-  /// concurrent calls on the same TileBfs).
+  /// One-shot query: creates a fresh workspace internally. Several threads
+  /// may call it at once on one TileBfs, and so on one pool: each call
+  /// leads its own pool team and waits only for that team's members (see
+  /// ThreadPool's dispatch rules).
   BfsResult run(index_t source) const;
 
   /// Steady-state query: reuses `ws` so repeated traversals allocate only
-  /// the result vector. Not thread-safe with respect to `ws`.
+  /// the result vector. A traversal runs as one team on the pool
+  /// (ThreadPool::lead_team), two phases per level. Not thread-safe with
+  /// respect to `ws`.
   BfsResult run(index_t source, BfsWorkspace& ws) const;
 
   /// Tile size selected by the order rule (32 or 64).

@@ -41,8 +41,8 @@ enum class Counter : int {
   kBfsFrontierWords,    // non-empty frontier words entering BFS iterations
   kBfsProducedWords,    // distinct output words produced by BFS iterations
   kBfsTilesVisited,     // tiles whose mask payload a BFS kernel touched
-  kPoolLoops,           // parallel_ranges invocations (incl. serial path)
-  kPoolChunks,          // chunks claimed from pool work queues
+  kPoolLoops,           // parallel_ranges invocations (incl. serial path) + teams
+  kPoolChunks,          // chunks, team shares and range chunks claimed
   kPoolWakes,           // dispatches published to pool workers
   kHashBytes,           // bytes fed to the matrix-store content hash
   kCount

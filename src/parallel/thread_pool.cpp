@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -32,6 +33,21 @@ thread_local int t_slot = -1;
 // attribute their counters to the shard that owns the data.
 thread_local int t_shard = -1;
 
+// Spin-then-yield wait for `done()`. The spin covers the usual case (the
+// awaited threads are running on other CPUs and finish within
+// microseconds); yielding early hands the CPU to an awaited thread that
+// shares it (a pinned caller, an oversubscribed or single-CPU host).
+template <typename Done>
+void wait_until(Done&& done) {
+  for (unsigned spins = 0; !done(); ++spins) {
+    if (spins < 256) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
 // RAII binding of the calling thread to the caller slot (0) of the pool
 // currently dispatching it. Saving and restoring the previous value keeps
 // nested dispatch correct: a worker of pool A that enters pool B's
@@ -53,12 +69,11 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   // The calling thread always participates, so spawn one fewer worker.
   const std::size_t spawned = threads - 1;
+  joined_ = std::make_unique<JoinSlot[]>(spawned);
   workers_.reserve(spawned);
   for (std::size_t i = 0; i < spawned; ++i) {
-    workers_.emplace_back([this, slot = static_cast<int>(i) + 1] {
-      t_slot = slot;
-      worker_loop();
-    });
+    workers_.emplace_back(
+        [this, slot = static_cast<int>(i) + 1] { worker_loop(slot); });
   }
 }
 
@@ -122,15 +137,10 @@ void ThreadPool::drain(Task& task) {
     drain_sharded(task);
     return;
   }
-  std::uint64_t chunks = 0;
-  for (;;) {
-    const index_t begin = task.next.fetch_add(task.chunk,
-                                              std::memory_order_relaxed);
-    if (begin >= task.n) break;
-    const index_t end = std::min<index_t>(begin + task.chunk, task.n);
-    ++chunks;
-    task.invoke(task.ctx, begin, end);
-  }
+  const std::uint64_t chunks =
+      drain_range(task.next, task.n, task.chunk, [&](index_t b, index_t e) {
+        task.invoke(task.ctx, b, e);
+      });
   obs::counter_add(obs::Counter::kPoolChunks, chunks);
 }
 
@@ -139,30 +149,21 @@ void ThreadPool::drain_sharded(Task& task) {
   const int home =
       task.slot_shard == nullptr ? slot % task.nshards : task.slot_shard[slot];
   std::uint64_t chunks = 0;
-  for (int k = 0; k < task.nshards; ++k) {
-    // Home shard first; steal from the others round-robin once it's dry.
-    const int s = (home + k) % task.nshards;
-    const index_t s_end = task.shard_bounds[s + 1];
-    bool worked = false;
+  for_each_home_first(task.nshards, home, [&](int s) {
     const auto t0 = std::chrono::steady_clock::now();
     const int saved = t_shard;
     t_shard = s;
-    for (;;) {
-      const index_t begin =
-          task.shard_next[s].fetch_add(task.chunk, std::memory_order_relaxed);
-      if (begin >= s_end) break;
-      const index_t end = std::min<index_t>(begin + task.chunk, s_end);
-      ++chunks;
-      worked = true;
-      task.invoke(task.ctx, begin, end);
-    }
+    const std::uint64_t claimed = drain_range(
+        task.shard_next[s], task.shard_bounds[s + 1], task.chunk,
+        [&](index_t b, index_t e) { task.invoke(task.ctx, b, e); });
+    chunks += claimed;
     t_shard = saved;
-    if (worked) {
+    if (claimed > 0) {
       const std::chrono::duration<double, std::milli> dt =
           std::chrono::steady_clock::now() - t0;
       obs::shard_add_ms(s, dt.count());
     }
-  }
+  });
   obs::counter_add(obs::Counter::kPoolChunks, chunks);
 }
 
@@ -193,43 +194,60 @@ std::uint64_t ThreadPool::await_epoch(std::uint64_t seen) {
   return e;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(int slot) {
+  t_slot = slot;
+  std::atomic<Task*>& joined = joined_[slot - 1].task;  // lint:allow(raw-atomic)
   std::uint64_t seen = 0;
   for (;;) {
     seen = await_epoch(seen);
     if (stop_.load(std::memory_order_relaxed)) return;
     Task* task = current_.load(std::memory_order_seq_cst);
     if (task == nullptr) continue;  // woke on a close
-    inflight_.fetch_add(1, std::memory_order_seq_cst);  // join
-    // Re-check after joining: if the caller closed this epoch first it may
+    joined.store(task, std::memory_order_seq_cst);  // join
+    // Re-check after joining: if the caller closed this task first it may
     // already have returned, and *task is gone. A reused stack address
     // comes back under a newer epoch, so the epoch check also rules out
-    // draining some later task by mistake.
+    // working on some later task by mistake.
     if (current_.load(std::memory_order_seq_cst) == task &&
         epoch_.load(std::memory_order_seq_cst) == seen) {
       obs::TraceSpan span("pool/task", "pool");
-      drain(*task);
+      if (task->team != nullptr) {
+        task->team->serve();
+      } else {
+        drain(*task);
+      }
     }
-    inflight_.fetch_sub(1, std::memory_order_release);  // leave
+    joined.store(nullptr, std::memory_order_release);  // leave
   }
 }
 
-void ThreadPool::close_and_wait() {
-  current_.store(nullptr, std::memory_order_seq_cst);
+void ThreadPool::publish(Task& task) {
+  current_.store(&task, std::memory_order_seq_cst);
   epoch_.fetch_add(1, std::memory_order_seq_cst);
-  // Wait for the workers that joined; parked and late ones re-check and
-  // back off. The load must be seq_cst, not merely acquire: the close
-  // above is a store and this is a later load of another variable, and
-  // only sequential consistency keeps the two from reordering against a
-  // worker's join-then-re-check. A joined worker is mid-drain, so this is
-  // short unless the host is oversubscribed and preempted it; yield then.
-  for (unsigned spins = 0; inflight_.load(std::memory_order_seq_cst) != 0;
-       ++spins) {
-    if (spins < 4096) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    // A parked worker evaluates its predicate under the mutex; passing
+    // through it orders the epoch bump before that evaluation or the
+    // notify after the worker's wait began, so no wake-up is lost.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
+  }
+}
+
+void ThreadPool::close_and_wait(Task& task) {
+  // Unpublish only our own task: another caller may have published since.
+  Task* mine = &task;
+  current_.compare_exchange_strong(mine, nullptr, std::memory_order_seq_cst);
+  // Wait for the workers inside this task; parked and late ones re-check
+  // and back off, and workers inside other tasks are not ours to wait
+  // for. The loads must be seq_cst, not merely acquire: the close above
+  // and these loads touch different variables, and only sequential
+  // consistency keeps them from reordering against a worker's
+  // join-then-re-check. A joined worker is mid-task, so this is short
+  // unless the host is oversubscribed and preempted it.
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    wait_until([&] {
+      return joined_[w].task.load(std::memory_order_seq_cst) != &task;
+    });
   }
 }
 
@@ -251,23 +269,129 @@ void ThreadPool::run_task(Task& task) {
   }
   obs::TraceSpan span("pool/parallel_ranges", "pool");
   obs::counter_add(obs::Counter::kPoolWakes, 1);
-  current_.store(&task, std::memory_order_seq_cst);
-  epoch_.fetch_add(1, std::memory_order_seq_cst);  // publish
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    // A parked worker evaluates its predicate under the mutex; passing
-    // through it orders the epoch bump before that evaluation or the
-    // notify after the worker's wait began, so no wake-up is lost.
-    { std::lock_guard<std::mutex> lock(mutex_); }
-    cv_.notify_all();
-  }
+  publish(task);
   try {
     CallerSlotBinding bind;
     drain(task);  // caller thread participates as slot 0
   } catch (...) {
-    close_and_wait();  // workers may still be draining the caller's frame
+    close_and_wait(task);  // workers may still be draining the caller's frame
     throw;
   }
-  close_and_wait();
+  close_and_wait(task);
+}
+
+ThreadPool::Team::Team(ThreadPool& pool)
+    : pool_(pool),
+      shares_(static_cast<int>(pool.size())),
+      tags_(std::make_unique<Tag[]>(pool.size())),
+      cursors_(std::make_unique<Cursor[]>(pool.size())) {
+  task_.team = this;
+}
+
+void ThreadPool::run_team(void (*lead)(void*, Team&), void* ctx) {
+  obs::counter_add(obs::Counter::kPoolLoops, 1);
+  obs::TraceSpan span("pool/team", "pool");
+  CallerSlotBinding bind;
+  Team team(*this);
+  auto close = [&] {
+    if (workers_.empty()) return;
+    team.closed_.store(true, std::memory_order_seq_cst);
+    close_and_wait(team.task_);
+  };
+  try {
+    lead(ctx, team);
+  } catch (...) {
+    close();
+    throw;
+  }
+  close();
+}
+
+void ThreadPool::Team::run_phase() {
+  const std::uint64_t p = ++phases_;
+  const std::uint64_t end = p * static_cast<std::uint64_t>(shares_);
+  phase_.store(p, std::memory_order_seq_cst);
+  if (!pool_.workers_.empty()) {
+    // Members still in the team see the phase counter move; publishing
+    // the team again calls back the ones that left (and wakes parked ones).
+    pool_.publish(task_);
+  }
+  claim(p, 0);  // the leader is slot 0
+  wait_until([&] { return done_.load(std::memory_order_acquire) == end; });
+  if (failed_.load(std::memory_order_acquire)) {
+    failed_.store(false, std::memory_order_relaxed);
+    std::exception_ptr e;
+    {
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      e = std::exchange(error_, nullptr);
+    }
+    std::rethrow_exception(e);
+  }
+}
+
+void ThreadPool::Team::claim(std::uint64_t phase, int home) {
+  std::uint64_t ran = 0;
+  for_each_home_first(shares_, home, [&](int s) {
+    std::atomic<std::uint64_t>& tag = tags_[s].phase;  // lint:allow(raw-atomic)
+    std::uint64_t last = tag.load(std::memory_order_relaxed);
+    if (last >= phase ||
+        !tag.compare_exchange_strong(last, phase, std::memory_order_acq_rel,
+                                     std::memory_order_relaxed)) {
+      return;  // started by someone else, or the phase is over
+    }
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        invoke_(ctx_, s);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    ++ran;
+    done_.fetch_add(1, std::memory_order_acq_rel);
+  });
+  obs::counter_add(obs::Counter::kPoolChunks, ran);
+}
+
+void ThreadPool::Team::fail(std::exception_ptr e) {
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  if (error_ == nullptr) error_ = std::move(e);
+  failed_.store(true, std::memory_order_release);
+}
+
+void ThreadPool::Team::serve() {
+  const int home = t_slot % shares_;
+  const auto shares = static_cast<std::uint64_t>(shares_);
+  std::uint64_t seen = 0;
+  auto idle_since = std::chrono::steady_clock::now();
+  auto deadline = idle_since + kSpinBudget;
+  for (unsigned spins = 1;; ++spins) {
+    if (closed_.load(std::memory_order_acquire)) return;
+    const std::uint64_t p = phase_.load(std::memory_order_acquire);
+    if (p != seen) {
+      seen = p;
+      claim(p, home);
+      idle_since = std::chrono::steady_clock::now();
+      deadline = idle_since + kSpinBudget;
+      spins = 0;
+      continue;
+    }
+    // The clock read costs more than a poll; check it every 64 polls.
+    if (spins % 64 != 0) {
+      cpu_relax();
+      continue;
+    }
+    const auto now = std::chrono::steady_clock::now();
+    // Phase `seen` is over once done_ reaches seen * shares. While it
+    // runs the next phase is still to come: stay, but past the spin
+    // budget hand the CPU to members that are still working
+    // (oversubscribed and single-CPU hosts).
+    if (done_.load(std::memory_order_relaxed) < seen * shares) {
+      deadline = now + kSpinBudget;
+      if (now - idle_since >= kSpinBudget) std::this_thread::yield();
+    } else if (now >= deadline) {
+      return;  // idle: leave; the next phase's publish calls us back
+    }
+  }
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -4,7 +4,10 @@
 // and pool sizes. Directed graphs exercise the CSR/CSC duality.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "baselines/dobfs.hpp"
 #include "baselines/enterprise_bfs.hpp"
@@ -14,6 +17,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/grid.hpp"
 #include "gen/rmat.hpp"
+#include "gen/suite.hpp"
 
 namespace tilespmspv {
 namespace {
@@ -297,14 +301,101 @@ TEST(TileBfs, RecordIterationsOffSkipsTheLogOnly) {
   EXPECT_GT(r.total_ms, 0.0);
 }
 
+// A traversal's shares and owner ranges follow the pool: at 3 members the
+// owner ranges do not divide the word count evenly, and on a sharded pool
+// the matrix-driven home chunks follow the shard homes (with 4 shards on a
+// 2-thread pool, two shards have no home slot). Every layout must give the
+// serial levels and the same per-level log. road-small runs Push-CSC only;
+// the R-MAT hub graph runs all three kernels.
 TEST(TileBfs, PoolSizesGiveIdenticalLevels) {
-  Csr<value_t> g = undirected_graph(3000, 0.002, 410);
-  const auto expect = serial_bfs(g, 2);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    TileBfs bfs(g, {}, &pool);
-    EXPECT_EQ(bfs.run(2).levels, expect) << "threads=" << threads;
+  struct Case {
+    const char* name;
+    Csr<value_t> graph;
+    index_t source;
+    bool all_kernels;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"road-small", Csr<value_t>::from_coo(suite_matrix("road-small")),
+                   0, false});
+  {
+    RmatParams p;
+    p.scale = 11;
+    p.edge_factor = 32;  // dense enough that the tail level pulls
+    const Csr<value_t> rmat = Csr<value_t>::from_coo(gen_rmat(p, 410));
+    index_t hub = 0;
+    for (index_t v = 0; v < rmat.rows; ++v) {
+      if (rmat.row_nnz(v) > rmat.row_nnz(hub)) hub = v;
+    }
+    cases.push_back({"rmat-hub", rmat, hub, true});
   }
+  struct Layout {
+    std::size_t threads;
+    int shards;
+  };
+  const std::vector<Layout> layouts = {{1, 1}, {2, 1}, {3, 1}, {4, 1},
+                                       {8, 1}, {3, 2}, {2, 4}};
+  for (const Case& c : cases) {
+    const auto expect = serial_bfs(c.graph, c.source);
+    ThreadPool serial_pool(1);
+    const BfsResult ref = TileBfs(c.graph, {}, &serial_pool).run(c.source);
+    ASSERT_EQ(ref.levels, expect) << c.name;
+    bool used[3] = {false, false, false};
+    for (const BfsIterationLog& it : ref.iterations) {
+      used[static_cast<int>(it.kernel)] = true;
+    }
+    EXPECT_TRUE(used[0]) << c.name;
+    EXPECT_EQ(used[1], c.all_kernels) << c.name;
+    EXPECT_EQ(used[2], c.all_kernels) << c.name;
+    for (const Layout& l : layouts) {
+      ThreadPool pool(l.threads);
+      if (l.shards > 1) pool.configure_shards(l.shards, /*pin_threads=*/false);
+      const TileBfs bfs(c.graph, {}, &pool);
+      for (int rep = 0; rep < 3; ++rep) {
+        const BfsResult r = bfs.run(c.source);
+        const std::string where = std::string(c.name) +
+                                  " threads=" + std::to_string(l.threads) +
+                                  " shards=" + std::to_string(l.shards);
+        ASSERT_EQ(r.levels, expect) << where;
+        ASSERT_EQ(r.iterations.size(), ref.iterations.size()) << where;
+        for (std::size_t i = 0; i < r.iterations.size(); ++i) {
+          EXPECT_EQ(r.iterations[i].kernel, ref.iterations[i].kernel)
+              << where << " level " << i + 1;
+          EXPECT_EQ(r.iterations[i].frontier_size,
+                    ref.iterations[i].frontier_size)
+              << where << " level " << i + 1;
+          EXPECT_EQ(r.iterations[i].frontier_words,
+                    ref.iterations[i].frontier_words)
+              << where << " level " << i + 1;
+        }
+      }
+    }
+  }
+}
+
+// Several threads may run one-shot traversals on one TileBfs and one pool
+// at once: each run has its own workspace and leads its own team, and no
+// run waits for members of another.
+TEST(TileBfs, ConcurrentOneShotRunsOnOnePool) {
+  const Csr<value_t> g =
+      Csr<value_t>::from_coo(gen_grid2d(40, 40, 0.9, 413));
+  ThreadPool pool(4);
+  const TileBfs bfs(g, {}, &pool);
+  const std::vector<index_t> sources = {0, 5, 799, 1234, 1599};
+  std::vector<std::vector<index_t>> expect;
+  for (index_t s : sources) expect.push_back(serial_bfs(g, s));
+  std::atomic<int> mismatches{0};  // lint:allow(raw-atomic)
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::size_t k =
+            static_cast<std::size_t>(t + i) % sources.size();
+        if (bfs.run(sources[k]).levels != expect[k]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Concurrency regression target for the chunked BFS tallies: repeated
+// Concurrency regression target for the BFS merge and tally: repeated
 // TileBFS runs on an 8-thread pool, checked against the serial reference.
 // The interesting assertions live in the scheduler, not here — this
 // binary is built and run under ThreadSanitizer by CI to prove that the
-// per-pool-slot output words and their caller-side merge, the level
-// tally (on the caller for sparse levels, a pool reduction for dense
-// ones) and the visited-mask merge are race-free across the phase
-// barriers.
+// per-share output words and their owner-computes merge, the owners'
+// level tally and visited-mask writes, and the leader's swap of the
+// frontier segments are race-free across the team's phase ends. CI also
+// runs it pinned to one CPU, where an 8-member team must not spin its
+// way through a traversal.
 #include <gtest/gtest.h>
 
 #include "baselines/serial_bfs.hpp"
@@ -25,7 +26,7 @@ Csr<value_t> undirected(index_t n, double density, std::uint64_t seed) {
 }
 
 // Long thin grid plus a few undirected shortcuts: every frontier stays a
-// handful of words (sparse tally branch at every level), and each
+// handful of words (every level is sparse), and each
 // shortcut lands alone in an off-diagonal tile, so it is extracted and
 // the side pass runs.
 Csr<value_t> thin_grid_with_shortcuts(std::uint64_t seed) {
@@ -43,10 +44,10 @@ Csr<value_t> thin_grid_with_shortcuts(std::uint64_t seed) {
 TEST(BfsTally, ChunkedTalliesRaceFreeUnderContention) {
   ThreadPool pool(8);
   BfsWorkspace ws;
-  // Which tally branches a case must exercise. A level tallies on the
-  // caller when it produced fewer than num_words/8 words and on the pool
-  // otherwise; the words a level produced are the next level's
-  // frontier_words.
+  // Which frontier shapes a case must produce: sparse levels (fewer than
+  // num_words/8 produced words, where most owners merge nothing) and
+  // dense ones (every owner busy). The words a level produced are the
+  // next level's frontier_words.
   enum class Branches { kAny, kSparseOnly, kBoth };
   struct Case {
     Csr<value_t> graph;

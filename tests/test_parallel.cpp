@@ -1,8 +1,8 @@
 // Tests for the thread-pool substrate: loop coverage, reductions, atomic
-// helpers, and reuse across many dispatches (the BFS loop dispatches the
-// pool once per kernel per level, so epoch handling must be airtight).
-// The dispatch-protocol tests run under TSan in CI, which is what checks
-// the barrier's ordering claims.
+// helpers, reuse across many dispatches (epoch handling must be
+// airtight), and caller-led teams (a TileBFS traversal is one team with
+// two phases per level). The dispatch-protocol and team tests run under
+// TSan in CI, which is what checks the barriers' ordering claims.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,6 +176,146 @@ TEST(ThreadPool, CallerExceptionWaitsForJoinedWorkers) {
   std::atomic<int> count{0};
   parallel_for(kN, [&](index_t) { count.fetch_add(1); }, &pool, 8);
   EXPECT_EQ(count.load(), kN);
+}
+
+// Leads `phases` phases on `pool` and checks that every share ran exactly
+// once per phase. The counts are plain ints: each share writes its own,
+// and the leader reads them after the phase, so a share run twice, or run
+// by a member after its phase ended, shows up as a wrong count (and as a
+// race under TSan).
+void expect_each_share_once(ThreadPool& pool, int phases) {
+  pool.lead_team([&](ThreadPool::Team& team) {
+    ASSERT_EQ(team.size(), static_cast<int>(pool.size()));
+    std::vector<int> runs(static_cast<std::size_t>(team.size()), 0);
+    for (int p = 1; p <= phases; ++p) {
+      team.run([&](int i) { ++runs[static_cast<std::size_t>(i)]; });
+      for (int i = 0; i < team.size(); ++i) {
+        ASSERT_EQ(runs[static_cast<std::size_t>(i)], p)
+            << "phase " << p << " share " << i;
+      }
+    }
+  });
+}
+
+class TeamSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(TeamSizes, EachShareRunsOncePerPhase) {
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  expect_each_share_once(pool, 20000);
+  // Members that spun out and parked between teams come back.
+  std::this_thread::sleep_for(kPastSpinBudget);
+  expect_each_share_once(pool, 100);
+}
+
+TEST_P(TeamSizes, PhasesSeparatedByParkingStillCoverEveryShare) {
+  // Gaps past the spin budget make members leave the team between
+  // phases; each phase must call them back or run without them.
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  pool.lead_team([&](ThreadPool::Team& team) {
+    std::vector<int> runs(static_cast<std::size_t>(team.size()), 0);
+    for (int p = 1; p <= 5; ++p) {
+      std::this_thread::sleep_for(kPastSpinBudget);
+      team.run([&](int i) { ++runs[static_cast<std::size_t>(i)]; });
+      for (int i = 0; i < team.size(); ++i) {
+        ASSERT_EQ(runs[static_cast<std::size_t>(i)], p) << "share " << i;
+      }
+    }
+  });
+}
+
+TEST_P(TeamSizes, RangePhasesCoverEveryUnitOnce) {
+  // Uneven home ranges (one empty, one much longer): each unit runs once,
+  // on a share that keeps its outputs private.
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  const int shares = static_cast<int>(pool.size());
+  std::vector<index_t> bounds(static_cast<std::size_t>(shares) + 1, 0);
+  for (int i = 1; i <= shares; ++i) {
+    bounds[static_cast<std::size_t>(i)] =
+        bounds[static_cast<std::size_t>(i) - 1] + (i == 1 ? 0 : 97 * i);
+  }
+  const index_t n = bounds.back();
+  std::vector<int> hits(static_cast<std::size_t>(n), 0);
+  std::vector<std::vector<index_t>> ran_by(static_cast<std::size_t>(shares));
+  pool.lead_team([&](ThreadPool::Team& team) {
+    for (int p = 1; p <= 50; ++p) {
+      team.run_ranges(bounds, index_t{5}, [&](int i, index_t b, index_t e) {
+        for (index_t u = b; u < e; ++u) {
+          ++hits[static_cast<std::size_t>(u)];
+          ran_by[static_cast<std::size_t>(i)].push_back(u);
+        }
+      });
+      for (index_t u = 0; u < n; ++u) {
+        ASSERT_EQ(hits[static_cast<std::size_t>(u)], p) << "unit " << u;
+      }
+    }
+  });
+  std::size_t total = 0;
+  for (const auto& r : ran_by) total += r.size();
+  EXPECT_EQ(total, static_cast<std::size_t>(n) * 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, TeamSizes, ::testing::Values(1, 2, 4, 8));
+
+TEST(ThreadPoolTeam, WorkerThatNeverJoinsHoldsNoPhaseUp) {
+  // Workers stuck inside another caller's loop never join the team; its
+  // phases must still finish, with the leader taking their shares.
+  ThreadPool pool(4);
+  std::atomic<bool> release{false};
+  std::atomic<int> stuck{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::thread blocker([&] {
+    pool.parallel_ranges(64, /*chunk=*/1, [&](index_t, index_t) {
+      if (ThreadPool::current_slot() != 0) {
+        stuck.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      } else {
+        while (stuck.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  });
+  while (stuck.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(stuck.load(), 0) << "no worker joined the blocking loop";
+  expect_each_share_once(pool, 2000);
+  release.store(true);
+  blocker.join();
+}
+
+TEST(ThreadPoolTeam, TwoLeadersOnOnePool) {
+  ThreadPool pool(4);
+  std::thread a([&] { expect_each_share_once(pool, 5000); });
+  std::thread b([&] { expect_each_share_once(pool, 5000); });
+  a.join();
+  b.join();
+  expect_each_share_once(pool, 100);
+}
+
+TEST(ThreadPoolTeam, ThrowingShareReleasesTeamAndRethrowsOnLeader) {
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 50; ++rep) {
+    int phases_after = 0;
+    EXPECT_THROW(pool.lead_team([&](ThreadPool::Team& team) {
+      team.run([](int) {});
+      // The last share is some member's home share, so the exception
+      // usually crosses threads.
+      team.run([&](int i) {
+        if (i == team.size() - 1) throw std::runtime_error("share");
+      });
+      ++phases_after;
+    }),
+                 std::runtime_error);
+    EXPECT_EQ(phases_after, 0);
+  }
+  // The pool still runs teams and loops.
+  expect_each_share_once(pool, 100);
+  std::atomic<int> count{0};
+  parallel_for(256, [&](index_t) { count.fetch_add(1); }, &pool, 8);
+  EXPECT_EQ(count.load(), 256);
 }
 
 TEST(ThreadPool, ZeroIterationsIsNoop) {
