@@ -558,6 +558,27 @@ void plan_owner_bounds(BfsScratch<NT>& ws, BfsKernel kernel,
   }
 }
 
+/// Frontier density at or above which Push-CSR replaces Push-CSC
+/// (paper: 0.01).
+constexpr double kPushCsrSparsity = 0.01;
+/// Additional Push-CSR guard: the frontier must also occupy at least
+/// this fraction of the tile words. Push-CSR sweeps every stored tile,
+/// which a GPU hides behind parallelism but a CPU pays serially; when
+/// the frontier is dense-but-clustered (band matrices), the
+/// vector-driven Push-CSC remains work-proportional and faster.
+constexpr double kPushCsrFrontierWordsFrac = 0.5;
+/// Unvisited fraction at or below which Pull-CSC takes over ("the number
+/// of unvisited vertices is small").
+constexpr double kPullUnvisitedFrac = 0.1;
+/// Additional pull guard: Pull-CSC is only chosen while the unvisited
+/// set is at most this many times the frontier (pull scans unvisited
+/// vertices; push scans frontier edges — on long-diameter graphs with
+/// tiny frontiers, pulling for hundreds of tail iterations would be
+/// pathological). This is the direction-switch advantage test of Beamer
+/// et al., which the paper's prose rule ("number of unvisited vertices
+/// is small") leaves implicit.
+constexpr double kPullFrontierFactor = 2.0;
+
 template <int NT>
 BfsKernel select_kernel(const TileBfsConfig& cfg, index_t n,
                         index_t frontier_size, index_t frontier_words,
@@ -567,14 +588,14 @@ BfsKernel select_kernel(const TileBfsConfig& cfg, index_t n,
   const bool k3 = cfg.kernel_mask & 4u;
   const double density = static_cast<double>(frontier_size) / n;
   const double unvisited_frac = static_cast<double>(unvisited) / n;
-  if (k3 && unvisited_frac <= cfg.pull_unvisited_frac &&
+  if (k3 && unvisited_frac <= kPullUnvisitedFrac &&
       static_cast<double>(unvisited) <=
-          cfg.pull_frontier_factor * static_cast<double>(frontier_size)) {
+          kPullFrontierFactor * static_cast<double>(frontier_size)) {
     return BfsKernel::kPullCsc;
   }
-  if (k2 && density >= cfg.push_csr_sparsity &&
+  if (k2 && density >= kPushCsrSparsity &&
       static_cast<double>(frontier_words) >=
-          cfg.push_csr_frontier_words_frac * static_cast<double>(total_words)) {
+          kPushCsrFrontierWordsFrac * static_cast<double>(total_words)) {
     return BfsKernel::kPushCsr;
   }
   if (k1) return BfsKernel::kPushCsc;
@@ -672,17 +693,10 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
       obs::counter_add(obs::Counter::kBfsProducedWords,
                        static_cast<std::uint64_t>(next.words));
 
-      if (cfg.record_iterations) {
-        BfsIterationLog log{level,
-                            kernel,
-                            frontier_size,
-                            unvisited,
-                            static_cast<double>(frontier_size) / g.n,
-                            static_cast<double>(unvisited) / g.n,
-                            iter.elapsed_ms(),
-                            frontier_words};
-        result.iterations.push_back(log);
-      }
+      result.iterations.push_back({level, kernel, frontier_size, unvisited,
+                                   static_cast<double>(frontier_size) / g.n,
+                                   static_cast<double>(unvisited) / g.n,
+                                   iter.elapsed_ms(), frontier_words});
       if (next.found == 0) break;
       visited += next.found;
       frontier_size = next.found;
@@ -750,7 +764,7 @@ TileBfs::TileBfs(const Csr<value_t>& a, TileBfsConfig cfg, ThreadPool* pool)
   }
   const int nt = cfg.forced_tile_size != 0
                      ? cfg.forced_tile_size
-                     : (a.rows > cfg.order_threshold ? 64 : 32);
+                     : (a.rows > kOrderThreshold ? 64 : 32);
   if (nt != 16 && nt != 32 && nt != 64) {
     throw std::invalid_argument(
         "TileBfsConfig.forced_tile_size must be 0, 16, 32 or 64");

@@ -2,18 +2,19 @@
 // adjacency structure, with three kernels selected per iteration:
 //
 //   K1 Push-CSC — frontier-driven column merge (Alg. 5); chosen when the
-//      frontier density is below `push_csr_sparsity` and many vertices are
+//      frontier density is below `kPushCsrSparsity` and many vertices are
 //      still unvisited.
 //   K2 Push-CSR — matrix-driven row AND/OR (Alg. 6); chosen when the
-//      frontier density is at least `push_csr_sparsity`.
+//      frontier density is at least `kPushCsrSparsity`.
 //   K3 Pull-CSC — unvisited-driven pull with early exit (Alg. 7); chosen
 //      when few unvisited vertices remain.
 //
-// The tile size follows the paper's rule: order > 10,000 -> 64×64 tiles,
-// otherwise 32×32 (§3.4). Very sparse tiles are extracted to an edge list
-// traversed by a separate edge-parallel pass each iteration (the paper
-// delegates that part to GSwitch; the pass here implements the equivalent
-// frontier expansion directly and merges into the same output vector).
+// The tile size follows the paper's rule: order > 10,000
+// (`TileBfs::kOrderThreshold`) -> 64×64 tiles, otherwise 32×32 (§3.4).
+// Very sparse tiles are extracted to an edge list traversed by a separate
+// edge-parallel pass each iteration (the paper delegates that part to
+// GSwitch; the pass here implements the equivalent frontier expansion
+// directly and merges into the same output vector).
 //
 // Directed-graph note: the paper stores the CSC form A1 and, for undirected
 // graphs, observes A1 == A2. Our pull kernel reads the row-oriented masks
@@ -36,43 +37,16 @@ enum class BfsKernel { kPushCsc, kPushCsr, kPullCsc };
 const char* bfs_kernel_name(BfsKernel k);
 
 struct TileBfsConfig {
-  /// Frontier density at or above which Push-CSR replaces Push-CSC
-  /// (paper: 0.01).
-  double push_csr_sparsity = 0.01;
-  /// Additional Push-CSR guard: the frontier must also occupy at least
-  /// this fraction of the tile words. Push-CSR sweeps every stored tile,
-  /// which a GPU hides behind parallelism but a CPU pays serially; when
-  /// the frontier is dense-but-clustered (band matrices), the
-  /// vector-driven Push-CSC remains work-proportional and faster.
-  double push_csr_frontier_words_frac = 0.5;
-  /// Unvisited fraction at or below which Pull-CSC takes over ("the number
-  /// of unvisited vertices is small").
-  double pull_unvisited_frac = 0.1;
-  /// Additional pull guard: Pull-CSC is only chosen while the unvisited
-  /// set is at most this many times the frontier (pull scans unvisited
-  /// vertices; push scans frontier edges — on long-diameter graphs with
-  /// tiny frontiers, pulling for hundreds of tail iterations would be
-  /// pathological). This is the direction-switch advantage test of Beamer
-  /// et al., which the paper's prose rule ("number of unvisited vertices
-  /// is small") leaves implicit.
-  double pull_frontier_factor = 2.0;
   /// Kernel-enable bitmask for the Fig. 9 ablation: bit0 = K1 Push-CSC,
   /// bit1 = K2 Push-CSR, bit2 = K3 Pull-CSC. At least one bit must be set.
   unsigned kernel_mask = 7;
   /// Tiles with at most this many edges are extracted to the side edge
   /// list (0 disables extraction).
   index_t extract_threshold = 2;
-  /// Matrix order above which 64×64 tiles are used instead of 32×32.
-  index_t order_threshold = 10000;
   /// Overrides the order rule with a fixed tile size (16, 32 or 64); 0
   /// keeps the automatic rule. Exists for the differential fuzz harness,
   /// which exercises every word width against the serial reference.
   int forced_tile_size = 0;
-  /// Record one BfsIterationLog per iteration (kernel choice plus the
-  /// frontier-density / unvisited-fraction inputs the selector saw). The
-  /// Fig. 9/10 harnesses and --verbose/--json CLI output consume these;
-  /// switch off for production queries that only need levels.
-  bool record_iterations = true;
 };
 
 struct BfsIterationLog {
@@ -127,6 +101,9 @@ class BfsWorkspace {
 /// answers BFS queries from arbitrary sources.
 class TileBfs {
  public:
+  /// Matrix order above which 64×64 tiles are used instead of 32×32.
+  static constexpr index_t kOrderThreshold = 10000;
+
   TileBfs(const Csr<value_t>& a, TileBfsConfig cfg = {},
           ThreadPool* pool = nullptr);
 
@@ -134,7 +111,7 @@ class TileBfs {
   /// formats/tile_file.hpp and `tilespmspv_cli convert --graph`): the mask
   /// arrays stay mmapped, the tile size comes from the file header (must
   /// be 16, 32 or 64), and cfg's tiling knobs (extract_threshold,
-  /// forced_tile_size, order_threshold) are ignored — they were baked in
+  /// forced_tile_size) and the order rule are ignored — they were baked in
   /// at conversion time. preprocess_ms() then measures the map + validate
   /// cost, which is what the ≥10x load-speedup claim compares against
   /// from_csr conversion.

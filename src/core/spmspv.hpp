@@ -48,11 +48,6 @@ struct SpmspvConfig {
   /// Kernel choice; kAuto switches on the vector's sparsity and tile
   /// occupancy.
   SpmspvKernel kernel = SpmspvKernel::kAuto;
-  /// Vector sparsity at or above which kAuto densifies x and runs the
-  /// tiled SpMV instead — the adaptive SpMV/SpMSpV selection of Li et
-  /// al. (TPDS'21), which the paper cites as the related strategy: once x
-  /// is nearly dense, per-element sparsity bookkeeping stops paying.
-  double spmv_density_threshold = 0.25;
 };
 
 /// Owns the tiled matrix (both orientations) and the reusable multiply
@@ -63,6 +58,11 @@ class SpmspvOperator {
   /// Tile occupancy (x.tile_density()) below which kAuto picks the CSC
   /// form; EXPERIMENTS.md (deviation D3) has the sweep that placed it.
   static constexpr double kCscTileDensity = 0.25;
+  /// Vector sparsity at or above which kAuto densifies x and runs the
+  /// tiled SpMV instead — the adaptive SpMV/SpMSpV selection of Li et
+  /// al. (TPDS'21), which the paper cites as the related strategy: once x
+  /// is nearly dense, per-element sparsity bookkeeping stops paying.
+  static constexpr double kDenseSpmvSparsity = 0.25;
 
   SpmspvOperator(const Csr<T>& a, SpmspvConfig cfg = {},
                  ThreadPool* pool = nullptr)
@@ -143,7 +143,7 @@ class SpmspvOperator {
   /// the benchmark harnesses' reporting).
   SpmspvKernel select(const TileVector<T>& x) const {
     if (cfg_.kernel != SpmspvKernel::kAuto) return cfg_.kernel;
-    if (x.sparsity() >= cfg_.spmv_density_threshold) {
+    if (x.sparsity() >= kDenseSpmvSparsity) {
       return SpmspvKernel::kDenseSpmv;
     }
     return has_transpose_ && x.tile_density() < kCscTileDensity

@@ -39,7 +39,10 @@ Coo<value_t> read_matrix_market(std::istream& in) {
   std::string banner, object, format, field, symmetry;
   header >> banner >> object >> format >> field >> symmetry;
   if (banner != "%%MatrixMarket" || lower(object) != "matrix") {
-    throw std::runtime_error("matrix market: bad banner: " + line);
+    // Every file that is not a tile file lands here, binary ones too: echo
+    // only the start of the first line.
+    throw std::runtime_error("matrix market: bad banner: " +
+                             line.substr(0, 64));
   }
   format = lower(format);
   field = lower(field);

@@ -1,13 +1,11 @@
-// Zero-copy on-disk tile container (format version 2).
+// Zero-copy on-disk tile container (format version 2), the library's one
+// binary matrix format; Matrix Market is the text interchange format.
 //
-// The v1 stream format (formats/serialize.hpp) is a length-prefixed array
-// dump: loading it materializes every array through the heap and rebuilds
-// the derived indexes, so "load a cached tiling" still costs a large
-// fraction of converting from scratch. This container is the operational
-// replacement: conversion happens once offline (`tilespmspv_cli convert`)
-// and startup is a single mmap.
+// Tiling costs several traversals (paper Fig. 11), so conversion happens
+// once offline (`tilespmspv_cli convert`) and startup is a single mmap
+// that binds views over the stored arrays instead of rebuilding them.
 //
-// Layout (host-endian — a cache format, like v1):
+// Layout (host-endian — a cache format, not an interchange format):
 //
 //   [TileFileHeader          128 B]
 //   [TileFileSection x N      32 B each]

@@ -7,7 +7,7 @@
 // consistency, and agreement of the derived run-list / strategy-byte /
 // chunk arrays with the tile payload — and returns a structured
 // ValidationResult instead of asserting, so callers at the trust boundary
-// (deserializers, Matrix Market ingest, the validate CLI) can reject
+// (the tile-file mapper, Matrix Market ingest, the validate CLI) can reject
 // corrupt or adversarial inputs with a clear error while debug builds get
 // the same checks as conversion postconditions.
 //
@@ -79,8 +79,8 @@ struct ValidationResult {
 };
 
 /// Throwing wrapper: turns a failed validation into std::runtime_error —
-/// the same exception type the deserializers already use for truncated
-/// streams, so trust-boundary callers handle one error family.
+/// the same exception type the file readers already use for truncated
+/// input, so trust-boundary callers handle one error family.
 inline void require_valid(const ValidationResult& r, const char* what) {
   if (!r.ok()) {
     throw std::runtime_error(std::string(what) + ": invalid structure: " +
@@ -483,14 +483,13 @@ ValidationResult validate_tile_vector_block(const B& b) {
 /// Numeric tiled matrix (paper §3.2.1). Gates: grid shape; tile-grid CSR;
 /// intra-tile payload (monotone local row pointers summing to each tile's
 /// range, local columns sorted, in range, and clipped to the matrix edge);
-/// extracted COO (in-range, row-major sorted, dims matching); then, with
-/// `derived`, the derived arrays. The run lists and tile strategies are an
-/// invariant every multiply relies on (from_csr, the v1 reader and the v2
-/// mapper all build or require them) and must agree with the payload
-/// exactly; the side indices and scheduling chunks are checked whenever
-/// they are present.
+/// extracted COO (in-range, row-major sorted, dims matching); then the
+/// derived arrays. The run lists and tile strategies are an invariant
+/// every multiply relies on (from_csr builds them and the tile-file mapper
+/// requires them) and must agree with the payload exactly; the side
+/// indices and scheduling chunks are checked whenever they are present.
 template <typename TM>
-ValidationResult validate_tile_matrix(const TM& m, bool derived = true) {
+ValidationResult validate_tile_matrix(const TM& m) {
   using std::to_string;
   ValidationResult r;
   // Gate 0: placement bookkeeping. A matrix whose arrays are views (arena
@@ -644,8 +643,6 @@ ValidationResult validate_tile_matrix(const TM& m, bool derived = true) {
     }
   }
 
-  if (!derived) return r;
-
   // Gate 5: derived arrays.
   const auto extracted_nnz = static_cast<std::int64_t>(m.extracted.nnz());
   if (!m.side_col_ptr.empty()) {
@@ -774,14 +771,6 @@ ValidationResult validate_tile_matrix(const TM& m, bool derived = true) {
   }
   detail::check_row_chunks(r, m.row_chunk_ptr, m.tile_rows, "row_chunk_ptr");
   return r;
-}
-
-/// The stored payload of a numeric tiled matrix alone, which is what the
-/// builders of its derived arrays index through: a reader checks it before
-/// it builds them.
-template <typename TM>
-ValidationResult validate_tile_payload(const TM& m) {
-  return validate_tile_matrix(m, /*derived=*/false);
 }
 
 /// Packed-byte tiled matrix (fixed nt = 16): grid CSR checks plus nibble

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "formats/mm_io.hpp"
-#include "formats/serialize.hpp"
 #include "formats/tile_file.hpp"
 #include "formats/validate.hpp"
 #include "gen/suite.hpp"
@@ -49,16 +48,6 @@ std::uint64_t hash_stream(std::istream& in) {
   obs::counter_add(obs::Counter::kHashBytes, total);
   return h;
 }
-
-}  // namespace
-
-std::string content_key(const std::string& serialized_bytes) {
-  obs::counter_add(obs::Counter::kHashBytes, serialized_bytes.size());
-  return key_of_hash(
-      fnv1a64(serialized_bytes.data(), serialized_bytes.size()));
-}
-
-namespace {
 
 /// Approximate resident footprint of a tiled matrix: the payload vectors
 /// (values, indices, pointers, side COO, run list, strategy bytes).
@@ -153,18 +142,13 @@ SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
                                const SpmspvConfig& cfg) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open matrix file: " + path);
-  const SerializedKind kind = probe_serialized_kind(in);
-  if (kind == SerializedKind::kTileFile) {
+  std::uint32_t magic = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  if (in && magic == kTileFileMagic) {
     in.close();
     return load_snapshot_tile_file(path, std::move(alias));
   }
-  if (kind == SerializedKind::kTileMatrix) {
-    throw std::runtime_error(
-        "v1 tiled-matrix files are not servable directly; convert to the v2 "
-        "tile format (tilespmspv_cli convert) or serve the CSR / "
-        "MatrixMarket source instead: " +
-        path);
-  }
+  // Anything else is Matrix Market, whose parser rejects what is not.
   // Content key: chunked stream-hash of the raw bytes (never materializes
   // the file), then rewind and parse straight from the stream.
   in.clear();
@@ -172,12 +156,7 @@ SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
   std::string key = key_of_hash(hash_stream(in));
   in.clear();
   in.seekg(0);
-  Csr<value_t> a;
-  if (kind == SerializedKind::kCsr) {
-    a = read_csr(in);  // validating reader (consumes its own header)
-  } else {
-    a = Csr<value_t>::from_coo(read_matrix_market(in));
-  }
+  const Csr<value_t> a = Csr<value_t>::from_coo(read_matrix_market(in));
   return build_snapshot(a, std::move(key), std::move(alias), "file:" + path,
                         cfg);
 }

@@ -52,9 +52,6 @@ using SnapshotPtr = std::shared_ptr<const MatrixSnapshot>;
 /// FNV-1a 64-bit over a byte range — the content-hash primitive.
 std::uint64_t fnv1a64(const char* data, std::size_t size);
 
-/// 16-hex-char content key of a serialized matrix byte stream.
-std::string content_key(const std::string& serialized_bytes);
-
 /// Validates `a` at the trust boundary (formats/validate.hpp) and builds
 /// the resident snapshot: tiled form, plus the unit-weight tiled transpose
 /// when the matrix is square (the BFS expand operand). `key` must be the
@@ -64,18 +61,19 @@ SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
                            std::string alias, std::string source,
                            const SpmspvConfig& cfg);
 
-/// Loads + validates a serialized matrix file, classified by magic.
+/// Loads + validates a matrix file in one of the two formats, told apart
+/// by the file's first four bytes.
 ///
 ///  - v2 tile files (TTLF, formats/tile_file.hpp): mmapped zero-copy; the
 ///    content key is the payload hash already stored in the 128-byte
 ///    header, so admission hashes nothing (the fast path the offline
 ///    `tilespmspv_cli convert` step buys).
-///  - TCSR / MatrixMarket: parsed and tiled; the content key is a chunked
-///    stream-hash of the raw file bytes — the file is never materialized
-///    twice in memory. Bytes hashed are charged to the `hash_bytes`
-///    counter on both paths.
+///  - anything else is parsed as Matrix Market and tiled; the content key
+///    is a chunked stream-hash of the raw file bytes — the file is never
+///    materialized twice in memory. Bytes hashed are charged to the
+///    `hash_bytes` counter on both paths.
 ///
-/// Throws on I/O or validation failure.
+/// Throws on I/O or validation failure, and on a file that is neither.
 SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
                                const SpmspvConfig& cfg);
 

@@ -1,7 +1,7 @@
-// Tests for configuration knobs across the BFS stack: TileBfs selector
-// parameters, baseline configs, and the GSwitch tuner's explore/exploit
-// behaviour. Every knob setting must preserve correctness; several also
-// have observable scheduling effects that are asserted here.
+// Tests for configuration knobs across the BFS stack: the TileBfs kernel
+// mask and extraction threshold, baseline configs, and the GSwitch tuner's
+// explore/exploit behaviour. Every knob setting must preserve correctness;
+// several also have observable scheduling effects that are asserted here.
 #include <gtest/gtest.h>
 
 #include "baselines/dobfs.hpp"
@@ -19,65 +19,6 @@ Csr<value_t> undirected(index_t n, double p, std::uint64_t seed) {
   Coo<value_t> coo = gen_erdos_renyi(n, n, p, seed);
   coo.symmetrize();
   return Csr<value_t>::from_coo(coo);
-}
-
-TEST(TileBfsConfig, OrderThresholdControlsTileSize) {
-  Csr<value_t> g = undirected(2000, 0.005, 1001);
-  TileBfsConfig small_tiles;
-  small_tiles.order_threshold = 100000;  // never exceed -> 32
-  TileBfsConfig large_tiles;
-  large_tiles.order_threshold = 100;  // always exceed -> 64
-  EXPECT_EQ(TileBfs(g, small_tiles).tile_size(), 32);
-  EXPECT_EQ(TileBfs(g, large_tiles).tile_size(), 64);
-  // Both produce identical levels.
-  EXPECT_EQ(TileBfs(g, small_tiles).run(0).levels,
-            TileBfs(g, large_tiles).run(0).levels);
-}
-
-TEST(TileBfsConfig, ExtremeSelectorThresholdsStayCorrect) {
-  Csr<value_t> g = undirected(1500, 0.004, 1002);
-  const auto expect = serial_bfs(g, 0);
-  for (double push_sp : {0.0, 0.5, 1.1}) {
-    for (double pull_frac : {0.0, 0.5, 1.0}) {
-      for (double pull_factor : {0.0, 1.0, 1e9}) {
-        TileBfsConfig cfg;
-        cfg.push_csr_sparsity = push_sp;
-        cfg.pull_unvisited_frac = pull_frac;
-        cfg.pull_frontier_factor = pull_factor;
-        TileBfs bfs(g, cfg);
-        ASSERT_EQ(bfs.run(0).levels, expect)
-            << push_sp << "/" << pull_frac << "/" << pull_factor;
-      }
-    }
-  }
-}
-
-TEST(TileBfsConfig, WordFracZeroEnablesPushCsrEarly) {
-  // With the word-coverage guard disabled and the density threshold at 0,
-  // every non-pull iteration must use Push-CSR.
-  Csr<value_t> g = undirected(1000, 0.005, 1003);
-  TileBfsConfig cfg;
-  cfg.push_csr_sparsity = 0.0;
-  cfg.push_csr_frontier_words_frac = 0.0;
-  cfg.pull_unvisited_frac = 0.0;  // pull disabled by threshold
-  TileBfs bfs(g, cfg);
-  const BfsResult r = bfs.run(0);
-  for (const auto& it : r.iterations) {
-    EXPECT_EQ(it.kernel, BfsKernel::kPushCsr);
-  }
-  EXPECT_EQ(r.levels, serial_bfs(g, 0));
-}
-
-TEST(TileBfsConfig, HugeWordFracDisablesPushCsr) {
-  Csr<value_t> g = undirected(1000, 0.02, 1004);
-  TileBfsConfig cfg;
-  cfg.push_csr_frontier_words_frac = 2.0;  // unreachable coverage
-  cfg.kernel_mask = 3;                     // no pull
-  TileBfs bfs(g, cfg);
-  const BfsResult r = bfs.run(0);
-  for (const auto& it : r.iterations) {
-    EXPECT_EQ(it.kernel, BfsKernel::kPushCsc);
-  }
 }
 
 TEST(TileBfsConfig, PullOnlyMaskTraversesCorrectly) {

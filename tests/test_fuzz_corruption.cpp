@@ -1,14 +1,14 @@
-// Corruption fuzzing of the serialized trust boundary (>= 1000 mutated
-// streams). Each round serializes a known-good structure, applies one
-// mutation — a bit flip, a random byte overwrite, a truncation, or an
-// 8-byte-aligned field overwrite with an "interesting" integer — and
-// requires the load to end in exactly one of two states:
+// Corruption fuzzing of the file trust boundary (>= 1000 mutated inputs).
+// Each round writes a known-good file — a Matrix Market text, a v2 tile
+// file (TTLF) holding a tiled matrix, or one holding a BitTileGraph —
+// applies one mutation — a bit flip, a random byte overwrite, a
+// truncation, or an 8-byte-aligned field overwrite with an "interesting"
+// integer — and requires the load to end in exactly one of two states:
 //   - it throws std::runtime_error (a clean rejection), or
 //   - it succeeds, in which case the loaded structure must pass its
-//     validator and reserialize byte-idempotently (write/read/write gives
-//     identical bytes), i.e. the bytes decoded to a fully valid structure.
+//     validator, i.e. the bytes decoded to a fully valid structure.
 // Any other exception (bad_alloc from an unbounded allocation, a sanitizer
-// abort, a crash) fails the test — that is the bug class this PR closes.
+// abort, a crash) fails the test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "formats/mm_io.hpp"
-#include "formats/serialize.hpp"
 #include "formats/tile_file.hpp"
 #include "formats/validate.hpp"
 #include "gen/erdos_renyi.hpp"
@@ -33,71 +32,6 @@ namespace tilespmspv {
 namespace {
 
 enum class Outcome { kRejected, kLoadedValid };
-
-/// Loads a mutated binary stream as the given structure; on success, checks
-/// the validator accepts it and that it reserializes idempotently.
-template <typename Load, typename Validate, typename Write>
-Outcome drive(const std::string& bytes, Load load, Validate validate,
-              Write write) {
-  std::istringstream in(bytes);
-  decltype(load(in)) loaded;
-  try {
-    loaded = load(in);
-  } catch (const std::runtime_error&) {
-    return Outcome::kRejected;
-  }
-  // Loaded without error: the structure must be fully valid...
-  const ValidationResult r = validate(loaded);
-  EXPECT_TRUE(r.ok()) << "loaded an invalid structure: " << r.message();
-  // ...and serialization must be a fixed point (write/read/write).
-  std::ostringstream out1;
-  write(out1, loaded);
-  std::istringstream in2(out1.str());
-  const auto reloaded = load(in2);
-  std::ostringstream out2;
-  write(out2, reloaded);
-  EXPECT_EQ(out1.str(), out2.str()) << "reserialization is not idempotent";
-  return Outcome::kLoadedValid;
-}
-
-Outcome drive_csr(const std::string& bytes) {
-  return drive(
-      bytes, [](std::istream& in) { return read_csr(in); },
-      [](const Csr<value_t>& a) { return validate_csr(a); },
-      [](std::ostream& out, const Csr<value_t>& a) { write_csr(out, a); });
-}
-
-Outcome drive_tile(const std::string& bytes) {
-  return drive(
-      bytes, [](std::istream& in) { return read_tile_matrix(in); },
-      [](const TileMatrix<value_t>& m) { return validate_tile_matrix(m); },
-      [](std::ostream& out, const TileMatrix<value_t>& m) {
-        write_tile_matrix(out, m);
-      });
-}
-
-std::string serialized_csr() {
-  std::ostringstream out;
-  write_csr(out, Csr<value_t>::from_coo(gen_erdos_renyi(90, 70, 0.05, 4201)));
-  return out.str();
-}
-
-std::string serialized_tile() {
-  // Dense-ish core plus isolated entries in the last tile column, so the
-  // extract threshold reliably produces a non-empty side part.
-  Coo<value_t> coo = gen_erdos_renyi(120, 96, 0.04, 4202);
-  coo.cols = 110;
-  coo.push(5, 100, 1.0);
-  coo.push(40, 105, -3.0);
-  coo.push(77, 99, 2.5);
-  coo.push(119, 109, 0.25);
-  const auto a = Csr<value_t>::from_coo(coo);
-  const auto m = TileMatrix<value_t>::from_csr(a, 16, 2);
-  EXPECT_GT(m.extracted.nnz(), 0) << "fixture must exercise the side part";
-  std::ostringstream out;
-  write_tile_matrix(out, m);
-  return out.str();
-}
 
 /// Integer values known to expose length/dimension handling bugs.
 const std::int64_t kInterestingValues[] = {
@@ -162,56 +96,6 @@ FuzzStats fuzz_binary(const std::string& base, Drive drive_fn,
   return stats;
 }
 
-TEST(FuzzCorruption, TileMatrixStreams) {
-  const std::string base = serialized_tile();
-  // Sanity: the unmutated stream loads and is valid.
-  EXPECT_EQ(drive_tile(base), Outcome::kLoadedValid);
-  const FuzzStats stats =
-      fuzz_binary(base, drive_tile, 0xD15EA5E, 320, 120, 80, 140);
-  EXPECT_EQ(stats.total(), 660);
-  // A substantial share of mutations must be caught. (Mutations landing in
-  // the vals payload legitimately load as a different-but-valid structure,
-  // so 100% rejection is neither possible nor the goal.)
-  EXPECT_GT(stats.rejected, stats.total() / 4)
-      << "rejected " << stats.rejected << " of " << stats.total();
-  EXPECT_GT(stats.loaded, 0);
-}
-
-TEST(FuzzCorruption, CsrStreams) {
-  const std::string base = serialized_csr();
-  EXPECT_EQ(drive_csr(base), Outcome::kLoadedValid);
-  const FuzzStats stats =
-      fuzz_binary(base, drive_csr, 0xC0FFEE, 200, 80, 50, 90);
-  EXPECT_EQ(stats.total(), 420);
-  EXPECT_GT(stats.rejected, stats.total() / 4)
-      << "rejected " << stats.rejected << " of " << stats.total();
-  EXPECT_GT(stats.loaded, 0);
-}
-
-TEST(FuzzCorruption, HeaderFieldSweep) {
-  // Deterministically place every interesting value in every header slot
-  // of both formats (dims, nt, and the first array length), so the checked
-  // index casts and the stream-size budget are each hit directly.
-  const std::string tile = serialized_tile();
-  const std::string csr = serialized_csr();
-  int runs = 0;
-  for (std::size_t slot = 1; slot <= 5; ++slot) {  // bytes 8..47
-    for (const std::int64_t v : kInterestingValues) {
-      std::string s = tile;
-      std::memcpy(&s[slot * 8], &v, sizeof(v));
-      drive_tile(s);
-      ++runs;
-      if (slot <= 3) {
-        std::string c = csr;
-        std::memcpy(&c[slot * 8], &v, sizeof(v));
-        drive_csr(c);
-        ++runs;
-      }
-    }
-  }
-  EXPECT_EQ(runs, 80);
-}
-
 TEST(FuzzCorruption, MatrixMarketText) {
   Coo<value_t> m = gen_erdos_renyi(60, 50, 0.04, 4203);
   std::ostringstream out;
@@ -263,9 +147,9 @@ TEST(FuzzCorruption, MatrixMarketText) {
   EXPECT_EQ(runs, 225);
 }
 
-// Total mutated streams across the four stream tests:
-// 660 + 420 + 80 + 225 = 1385. The tile-file tests below fuzz the v2 mmap
-// container on top of that.
+// Total mutated inputs across the three fuzz corpora (Matrix Market text,
+// tile-matrix file, graph tile file): 225 + 480 + 320 = 1025. The directed
+// tile-file tests below add targeted attacks on top of that.
 
 /// Writes raw bytes to `path` (the v2 loaders are path-based: they mmap).
 void write_bytes(const std::string& path, const std::string& bytes) {
@@ -310,9 +194,51 @@ TEST(FuzzCorruption, TileFileMapping) {
   };
   EXPECT_EQ(drive_map(base), Outcome::kLoadedValid);
   const FuzzStats stats =
-      fuzz_binary(base, drive_map, 0xF17EF11E, 120, 60, 40, 60);
+      fuzz_binary(base, drive_map, 0xF17EF11E, 200, 100, 70, 110);
   std::remove(mut_path.c_str());
-  EXPECT_EQ(stats.total(), 280);
+  EXPECT_EQ(stats.total(), 480);
+  EXPECT_GT(stats.rejected, stats.total() / 4)
+      << "rejected " << stats.rejected << " of " << stats.total();
+  EXPECT_GT(stats.loaded, 0);
+}
+
+TEST(FuzzCorruption, GraphTileFileMapping) {
+  // The graph tile file is what file-backed TileBfs and `tilespmspv_cli
+  // convert --graph` use. The fixture has extracted edges, so the side
+  // summary is rebuilt from the mapped side_ptr before deep validation
+  // runs; a mutated file must throw std::runtime_error or map to a graph
+  // that passes validation.
+  const std::string base_path = "/tmp/tilespmspv_fuzz_graph_base.bin";
+  const std::string mut_path = "/tmp/tilespmspv_fuzz_graph_mut.bin";
+  // About four edges per 32x32 tile: some tiles stay stored, some are
+  // extracted to the side list.
+  Coo<value_t> coo = gen_erdos_renyi(256, 256, 0.002, 4208);
+  coo.symmetrize();
+  const auto g =
+      BitTileGraph<32>::from_csr(Csr<value_t>::from_coo(coo), /*extract=*/2);
+  ASSERT_GT(g.side_dst.size(), 0u) << "fixture must exercise the side part";
+  ASSERT_GT(g.csr_tile_col.size(), 0u) << "fixture must keep stored tiles";
+  write_bit_tile_graph_file<32>(base_path, g);
+  const std::string base = read_bytes(base_path);
+  std::remove(base_path.c_str());
+
+  const auto drive_map = [&](const std::string& bytes) {
+    write_bytes(mut_path, bytes);
+    try {
+      const BitTileGraph<32> loaded = map_bit_tile_graph_file<32>(
+          mut_path, /*verify_hash=*/false, /*deep_validate=*/true);
+      const ValidationResult r = validate_bit_tile_graph(loaded);
+      EXPECT_TRUE(r.ok()) << "mapped an invalid graph: " << r.message();
+      return Outcome::kLoadedValid;
+    } catch (const std::runtime_error&) {
+      return Outcome::kRejected;
+    }
+  };
+  EXPECT_EQ(drive_map(base), Outcome::kLoadedValid);
+  const FuzzStats stats =
+      fuzz_binary(base, drive_map, 0x96A9F11E, 140, 60, 50, 70);
+  std::remove(mut_path.c_str());
+  EXPECT_EQ(stats.total(), 320);
   EXPECT_GT(stats.rejected, stats.total() / 4)
       << "rejected " << stats.rejected << " of " << stats.total();
   EXPECT_GT(stats.loaded, 0);

@@ -283,6 +283,44 @@ TEST(ServeProtocol, MalformedAndUnknownRequestsFailSoftly) {
   EXPECT_TRUE(ok(parse(server.handle_line("{\"op\":\"ping\"}"))));
 }
 
+// TTLF and Matrix Market are the only file formats. A file that starts
+// with a retired binary magic (TCSR, TTLM) is parsed as Matrix Market and
+// refused like junk bytes, and the refusal leaves the store untouched.
+TEST(ServeProtocol, RetiredBinaryMagicsAndJunkAreRefused) {
+  ServeConfig cfg;
+  cfg.threads = 2;
+  Server server(cfg);
+  ASSERT_TRUE(ok(parse(server.handle_line(
+      "{\"op\":\"load\",\"suite\":\"er-small\",\"alias\":\"er\"}"))));
+  const std::string listed = server.handle_line("{\"op\":\"list\"}");
+
+  const auto with_magic = [](std::uint32_t magic) {
+    std::string bytes(24, '\0');
+    const std::uint32_t version = 1;
+    std::memcpy(&bytes[0], &magic, sizeof(magic));  // host-endian, as written
+    std::memcpy(&bytes[4], &version, sizeof(version));
+    return bytes;
+  };
+  const std::string path = "/tmp/tilespmspv_serve_retired.bin";
+  const std::string load = "{\"op\":\"load\",\"path\":\"" + path +
+                           "\",\"alias\":\"retired\"}";
+  for (const std::string& bytes :
+       {with_magic(0x54435352u) /* TCSR */, with_magic(0x54544C4Du) /* TTLM */,
+        std::string("definitely not a matrix\n\x01\x02\x03")}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(ok(parse(server.handle_line(load)))) << bytes.substr(0, 4);
+    EXPECT_EQ(server.handle_line("{\"op\":\"list\"}"), listed);
+  }
+  std::remove(path.c_str());
+
+  const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix("er-small"));
+  const SparseVec<value_t> x = gen_sparse_vector(a.cols, 0.01, 11);
+  EXPECT_TRUE(ok(parse(server.handle_line(spmspv_request("er", x)))));
+}
+
 TEST(ServeProtocol, StatsExposeBatchAndStoreCounters) {
   ServeConfig cfg;
   cfg.batch_k = 64;

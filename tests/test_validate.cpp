@@ -324,9 +324,6 @@ TEST(ValidateTileMatrix, RejectsMatrixWithoutRunLists) {
   bad.row_runs.clear();
   bad.tile_strategy.clear();
   expect_issue(validate_tile_matrix(bad), "run_ptr/length");
-  // The stored payload alone, which a reader checks before it builds the
-  // run lists, is still valid.
-  EXPECT_TRUE(validate_tile_payload(bad).ok());
 
   bad = tiled();
   bad.tile_strategy.clear();

@@ -300,7 +300,7 @@ void run_graph500_ooc(const Tier& tier, int iters, ThreadPool& pool,
   // Tile size must match what the file-backed TileBfs reads back, i.e.
   // the in-memory rule (order above 10,000 -> 64x64).
   const auto convert = [&] {
-    if (g.rows > 10000) {
+    if (g.rows > TileBfs::kOrderThreshold) {
       write_bit_tile_graph_file<64>(path, BitTileGraph<64>::from_csr(g, 2));
     } else {
       write_bit_tile_graph_file<32>(path, BitTileGraph<32>::from_csr(g, 2));

@@ -452,9 +452,10 @@ int cmd_convert(const Args& args, obs::MetricsRegistry& metrics) {
     if (a.rows != a.cols) {
       throw std::invalid_argument("--graph needs a square matrix");
     }
-    // Tile-size rule mirrors TileBfs: order > 10,000 -> 64x64, else 32x32;
+    // TileBfs's tile-size rule: order > 10,000 -> 64x64, else 32x32;
     // --nt 16|32|64 overrides.
-    nt = static_cast<int>(args.get_int("--nt", a.rows > 10000 ? 64 : 32));
+    nt = static_cast<int>(
+        args.get_int("--nt", a.rows > TileBfs::kOrderThreshold ? 64 : 32));
     switch (nt) {
       case 16:
         hash = write_bit_tile_graph_file(

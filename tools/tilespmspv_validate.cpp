@@ -2,15 +2,15 @@
 // validation layer (formats/validate.hpp).
 //
 // Two modes:
-//   tilespmspv_validate FILE...        classify each file by magic (TCSR /
-//                                      TTLM / TTLF v2 tile file / Matrix
-//                                      Market), load it through the
-//                                      validating reader, and report
-//                                      OK or INVALID with the violated
-//                                      invariants. TTLF files get the
-//                                      strict path: payload-hash verify +
-//                                      deep structural validation of the
-//                                      mapped view.
+//   tilespmspv_validate FILE...        load each file through the
+//                                      validating reader and report OK or
+//                                      INVALID with the violated
+//                                      invariants. A file whose magic is
+//                                      TTLF (v2 tile file) gets the strict
+//                                      path: payload-hash verify + deep
+//                                      structural validation of the
+//                                      mapped view; anything else is
+//                                      parsed as Matrix Market.
 //   tilespmspv_validate --suite NAME   build every structure the library
 //                                      defines (Coo, Csr, TileMatrix,
 //                                      PackedTileMatrix, BitTileGraph,
@@ -21,14 +21,12 @@
 //
 // Exit codes: 0 all valid, 1 at least one invalid input, 2 usage error.
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "formats/mm_io.hpp"
-#include "formats/serialize.hpp"
 #include "formats/tile_file.hpp"
 #include "formats/validate.hpp"
 #include "gen/suite.hpp"
@@ -48,106 +46,74 @@ int usage() {
       "usage: tilespmspv_validate FILE...\n"
       "       tilespmspv_validate --suite NAME [--nt N] [--extract N]\n"
       "\n"
-      "Validates serialized matrices (TCSR/TTLM/TTLF binary or Matrix\n"
-      "Market)\n"
+      "Validates matrix files (TTLF v2 tile files or Matrix Market)\n"
       "against the library's format invariants, or self-checks every\n"
       "structure built from a generator-suite matrix.\n"
       "Exit codes: 0 valid, 1 invalid input, 2 usage error.\n";
   return 2;
 }
 
-/// Loads one file through the validating readers and reports the outcome.
-/// Returns true when the file is valid.
-bool check_file(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) {
-    std::cout << path << ": INVALID (cannot open)\n";
-    return false;
+/// Maps a v2 tile file with the payload hash verified and the full
+/// structural validators run over the mapped view — the strict check the
+/// fast loaders skip — and reports it. Returns true when it is valid.
+bool check_tile_file(const std::string& path) {
+  const TileFileHeader h = read_tile_file_header(path);
+  if (h.kind == static_cast<std::uint32_t>(TileFileKind::kTileMatrix)) {
+    const MappedTileMatrix m = map_tile_matrix_file(
+        path, /*verify_hash=*/true, /*deep_validate=*/true);
+    std::cout << path << ": OK (tile-file matrix " << m.tiled.rows << "x"
+              << m.tiled.cols << ", nt " << m.tiled.nt << ", tiles "
+              << m.tiled.num_tiles() << ", nnz " << m.tiled.total_nnz()
+              << (m.has_transpose ? ", with transpose" : "") << ")\n";
+    return true;
   }
-  const SerializedKind kind = probe_serialized_kind(probe);
-  probe.close();
-  try {
-    switch (kind) {
-      case SerializedKind::kCsr: {
-        std::ifstream in(path, std::ios::binary);
-        const auto a = read_csr(in);
-        std::cout << path << ": OK (csr " << a.rows << "x" << a.cols
-                  << ", nnz " << a.nnz() << ")\n";
-        return true;
+  if (h.kind == static_cast<std::uint32_t>(TileFileKind::kBitTileGraph)) {
+    offset_t edges = 0;
+    index_t n = 0;
+    switch (h.nt) {
+      case 16: {
+        const auto g = map_bit_tile_graph_file<16>(path, true, true);
+        edges = g.edges, n = g.n;
+        break;
       }
-      case SerializedKind::kTileMatrix: {
-        const auto m = read_tile_matrix_file(path);
-        std::cout << path << ": OK (tile-matrix " << m.rows << "x" << m.cols
-                  << ", nt " << m.nt << ", tiles " << m.num_tiles()
-                  << ", nnz " << m.total_nnz() << ")\n";
-        return true;
+      case 32: {
+        const auto g = map_bit_tile_graph_file<32>(path, true, true);
+        edges = g.edges, n = g.n;
+        break;
       }
-      case SerializedKind::kTileFile: {
-        // v2 mmap container: verify the payload hash and run the full
-        // structural validators over the mapped view — the strict check
-        // the fast loaders skip.
-        const TileFileHeader h = read_tile_file_header(path);
-        if (h.kind == static_cast<std::uint32_t>(TileFileKind::kTileMatrix)) {
-          const MappedTileMatrix m = map_tile_matrix_file(
-              path, /*verify_hash=*/true, /*deep_validate=*/true);
-          std::cout << path << ": OK (tile-file matrix " << m.tiled.rows << "x"
-                    << m.tiled.cols << ", nt " << m.tiled.nt << ", tiles "
-                    << m.tiled.num_tiles() << ", nnz " << m.tiled.total_nnz()
-                    << (m.has_transpose ? ", with transpose" : "") << ")\n";
-          return true;
-        }
-        if (h.kind == static_cast<std::uint32_t>(TileFileKind::kBitTileGraph)) {
-          offset_t edges = 0;
-          index_t n = 0;
-          switch (h.nt) {
-            case 16: {
-              const auto g = map_bit_tile_graph_file<16>(path, true, true);
-              edges = g.edges, n = g.n;
-              break;
-            }
-            case 32: {
-              const auto g = map_bit_tile_graph_file<32>(path, true, true);
-              edges = g.edges, n = g.n;
-              break;
-            }
-            case 64: {
-              const auto g = map_bit_tile_graph_file<64>(path, true, true);
-              edges = g.edges, n = g.n;
-              break;
-            }
-            default:
-              std::cout << path << ": INVALID (tile-file graph tile size "
-                        << h.nt << " unsupported)\n";
-              return false;
-          }
-          std::cout << path << ": OK (tile-file graph n " << n << ", nt "
-                    << h.nt << ", edges " << edges << ")\n";
-          return true;
-        }
-        std::cout << path << ": INVALID (tile-file kind " << h.kind
-                  << " unknown)\n";
+      case 64: {
+        const auto g = map_bit_tile_graph_file<64>(path, true, true);
+        edges = g.edges, n = g.n;
+        break;
+      }
+      default:
+        std::cout << path << ": INVALID (tile-file graph tile size " << h.nt
+                  << " unsupported)\n";
         return false;
-      }
-      case SerializedKind::kUnknown: {
-        // Matrix Market files start with the "%%MatrixMarket" banner.
-        std::ifstream head(path, std::ios::binary);
-        char c0 = 0, c1 = 0;
-        head.get(c0).get(c1);
-        if (!head || c0 != '%' || c1 != '%') {
-          std::cout << path << ": INVALID (unrecognized format)\n";
-          return false;
-        }
-        const auto m = read_matrix_market_file(path);
-        std::cout << path << ": OK (matrix-market " << m.rows << "x" << m.cols
-                  << ", nnz " << m.nnz() << ")\n";
-        return true;
-      }
     }
+    std::cout << path << ": OK (tile-file graph n " << n << ", nt " << h.nt
+              << ", edges " << edges << ")\n";
+    return true;
+  }
+  std::cout << path << ": INVALID (tile-file kind " << h.kind
+            << " unknown)\n";
+  return false;
+}
+
+/// Loads one file through the validating readers and reports the outcome:
+/// a TTLF file is mapped, anything else is parsed as Matrix Market, whose
+/// parser rejects what is not one. Returns true when the file is valid.
+bool check_file(const std::string& path) {
+  try {
+    if (is_tile_file(path)) return check_tile_file(path);
+    const auto m = read_matrix_market_file(path);
+    std::cout << path << ": OK (matrix-market " << m.rows << "x" << m.cols
+              << ", nnz " << m.nnz() << ")\n";
+    return true;
   } catch (const std::runtime_error& e) {
     std::cout << path << ": INVALID (" << e.what() << ")\n";
     return false;
   }
-  return false;
 }
 
 /// Prints one self-check row and folds the result into `all_ok`.
