@@ -2,10 +2,10 @@
 // CombBLAS primitive, where the multiply is defined over an arbitrary
 // semiring (add, mul, identity); TileBFS itself is the (OR, AND) instance
 // specialized to bitmasks. A semiring here is a policy type: the CSC-form
-// kernel (tile_spmspv_csc in core/tile_spmspv.hpp) and its workspace take
-// one as a template parameter, PlusTimes by default, so algorithms like
-// SSSP (min-plus) and reachability (or-and) run on the same tiled storage
-// and the same deterministic range buckets as the numeric multiply.
+// kernel (tile_spmspv_csc in core/tile_spmspv.hpp) takes one as a
+// template parameter, PlusTimes by default, so algorithms like SSSP
+// (min-plus) and reachability (or-and) run on the same tiled storage and
+// the same owner-computes apply as the numeric multiply.
 #pragma once
 
 #include <algorithm>

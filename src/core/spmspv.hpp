@@ -188,7 +188,7 @@ class SemiringOperator {
  private:
   index_t nt_;
   TileMatrix<T> tiled_t_;
-  SpmspvWorkspace<T, S> ws_;
+  SpmspvWorkspace<T> ws_;
   ThreadPool* pool_;
 };
 

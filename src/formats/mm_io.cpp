@@ -27,20 +27,42 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-}  // namespace
+// Longest banner line accepted; real ones are about 50 bytes.
+constexpr std::size_t kMaxBannerBytes = 1024;
 
-Coo<value_t> read_matrix_market(std::istream& in) {
+// Reads the banner line without reading a non-Matrix Market stream whole:
+// every file that is not a tile file lands here, binary ones with no
+// newline too. The read stops at the first byte that departs from the
+// "%%MatrixMarket" prefix, and at kMaxBannerBytes.
+std::string read_banner(std::istream& in) {
+  static constexpr char kPrefix[] = "%%MatrixMarket";
+  constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
   std::string line;
-  if (!std::getline(in, line)) {
+  char c = 0;
+  while (in.get(c) && c != '\n') {
+    line.push_back(c);
+    if ((line.size() <= kPrefixLen && c != kPrefix[line.size() - 1]) ||
+        line.size() == kMaxBannerBytes) {
+      // Echo only the start of what was read.
+      throw std::runtime_error("matrix market: bad banner: " +
+                               line.substr(0, 64));
+    }
+  }
+  if (line.empty() && c != '\n') {
     throw std::runtime_error("matrix market: empty stream");
   }
   strip_cr(line);
+  return line;
+}
+
+}  // namespace
+
+Coo<value_t> read_matrix_market(std::istream& in) {
+  std::string line = read_banner(in);
   std::istringstream header(line);
   std::string banner, object, format, field, symmetry;
   header >> banner >> object >> format >> field >> symmetry;
   if (banner != "%%MatrixMarket" || lower(object) != "matrix") {
-    // Every file that is not a tile file lands here, binary ones too: echo
-    // only the start of the first line.
     throw std::runtime_error("matrix market: bad banner: " +
                              line.substr(0, 64));
   }

@@ -31,7 +31,7 @@ enum class Counter : int {
   kTilesComputed,       // tiles whose payload was multiplied
   kPayloadMacs,         // multiply-adds inside computed tiles
   kSideMacs,            // multiply-adds in the extracted (side COO) pass
-  kGatherSlots,         // output tile-row slots scanned by the gather phase
+  kGatherSlots,         // gather scans: tile rows (CSR), row-bitmap words (CSC)
   kBatchTilesShared,    // extra lanes reusing a computed tile's payload
   kBatchLaneMacs,       // lane multiply-add slots driven by the block engine
   kBfsIterPushCsc,      // BFS iterations run with the Push-CSC kernel

@@ -13,12 +13,6 @@
 
 namespace tilespmspv::serve {
 
-std::uint64_t fnv1a64(const char* data, std::size_t size) {
-  // Same primitive the v2 tile-file format uses for its payload hash
-  // (formats/tile_file.hpp), so the two key spaces agree on the function.
-  return tilespmspv::fnv1a64(data, size);
-}
-
 namespace {
 
 /// 16 lowercase hex chars of a 64-bit hash — the content-key rendering.

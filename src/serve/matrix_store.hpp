@@ -49,9 +49,6 @@ struct MatrixSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const MatrixSnapshot>;
 
-/// FNV-1a 64-bit over a byte range — the content-hash primitive.
-std::uint64_t fnv1a64(const char* data, std::size_t size);
-
 /// Validates `a` at the trust boundary (formats/validate.hpp) and builds
 /// the resident snapshot: tiled form, plus the unit-weight tiled transpose
 /// when the matrix is square (the BFS expand operand). `key` must be the

@@ -19,7 +19,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "formats/mm_io.hpp"
@@ -145,6 +147,53 @@ TEST(FuzzCorruption, MatrixMarketText) {
     ++runs;
   }
   EXPECT_EQ(runs, 225);
+}
+
+// A stream with no newline: `head`, then `fill` bytes up to 1 MiB, which
+// stands in for endless (a reader that reads a line whole still ends).
+// Counts the bytes it hands out, so a test can bound what a reader took.
+class EndlessBuf : public std::streambuf {
+ public:
+  EndlessBuf(std::string head, char fill)
+      : head_(std::move(head)), block_(64, fill) {}
+  std::size_t served() const { return served_; }
+
+ protected:
+  int_type underflow() override {
+    if (served_ >= (std::size_t{1} << 20)) return traits_type::eof();
+    std::string& next = head_served_ || head_.empty() ? block_ : head_;
+    head_served_ = true;
+    setg(next.data(), next.data(), next.data() + next.size());
+    served_ += next.size();
+    return traits_type::to_int_type(next[0]);
+  }
+
+ private:
+  std::string head_;
+  std::string block_;
+  std::size_t served_ = 0;
+  bool head_served_ = false;
+};
+
+// A binary file with no newline is refused from its first bytes, and a
+// banner that never ends after a matching prefix from at most a bounded
+// read, not read whole into one line first.
+TEST(FuzzCorruption, MatrixMarketEndlessBannerIsBounded) {
+  for (const auto& [head, fill] :
+       {std::pair<std::string, char>{"", 'x'},
+        std::pair<std::string, char>{"\x7f" "ELF", '\0'},
+        std::pair<std::string, char>{"%%MatrixMarket matrix ", 'x'}}) {
+    EndlessBuf buf(head, fill);
+    std::istream in(&buf);
+    try {
+      (void)read_matrix_market(in);
+      ADD_FAILURE() << "endless stream accepted, head '" << head << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad banner"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LE(buf.served(), std::size_t{4096}) << "head '" << head << "'";
+  }
 }
 
 // Total mutated inputs across the three fuzz corpora (Matrix Market text,
