@@ -28,6 +28,7 @@
 #include "parallel/parallel_for.hpp"
 #include "tile/tile_chunks.hpp"
 #include "util/bitops.hpp"
+#include "util/pair_list.hpp"
 #include "util/types.hpp"
 
 namespace tilespmspv {
@@ -187,18 +188,21 @@ struct BitTileGraph {
         });
     const index_t nranges = static_cast<index_t>(ranges.size()) - 1;
 
+    // One list per range, each on its own cache line (detail::PairList),
+    // so ranges filling neighbouring lists never share a line.
+    std::vector<detail::PairList<index_t>> range_lists(
+        static_cast<std::size_t>(nranges));
+
     // Pass 1 (parallel): per tile row, count nnz per tile column; decide
     // kept vs extracted (same structure as TileMatrix::from_csr). Kept
-    // column ids land in per-range buffers whose range-order concatenation
-    // equals the row-order list.
-    std::vector<std::vector<index_t>> range_kept(
-        static_cast<std::size_t>(nranges));
+    // column ids land in the range lists' idx, whose range-order
+    // concatenation equals the row-order list.
     parallel_for(
         nranges,
         [&](index_t rg) {
           std::vector<offset_t> tile_nnz(g.tile_n, 0);
           std::vector<index_t> touched;
-          std::vector<index_t>& kept = range_kept[rg];
+          std::vector<index_t>& kept = range_lists[rg].idx;
           for (index_t tr = ranges[rg]; tr < ranges[rg + 1]; ++tr) {
             touched.clear();
             const index_t r_begin = tr * NT;
@@ -225,23 +229,22 @@ struct BitTileGraph {
       g.csr_tile_ptr[tr + 1] += g.csr_tile_ptr[tr];
     }
     g.csr_tile_col.clear();
-    for (const auto& kept : range_kept) {
-      g.csr_tile_col.append(kept.begin(), kept.end());
+    for (auto& list : range_lists) {
+      g.csr_tile_col.append(list.idx.begin(), list.idx.end());
+      list.clear();
     }
     const index_t ntiles = static_cast<index_t>(g.csr_tile_col.size());
     g.csr_masks.assign(static_cast<std::size_t>(ntiles) * NT, Word{0});
 
     // Pass 2 (parallel): fill the CSR row masks; route extracted entries
-    // to per-range (src=col, dst=row) edge lists, bucketed by source
-    // below. Every mask word written belongs to a tile of the range's own
-    // rows.
-    std::vector<std::vector<std::pair<index_t, index_t>>> range_extracted(
-        static_cast<std::size_t>(nranges));
+    // to the range lists as (idx = src = col, vals = dst = row) edges,
+    // bucketed by source below. Every mask word written belongs to a tile
+    // of the range's own rows.
     parallel_for(
         nranges,
         [&](index_t rg) {
           std::vector<index_t> slot_of(g.tile_n, kEmptyTile);
-          auto& extracted = range_extracted[rg];
+          detail::PairList<index_t>& extracted = range_lists[rg];
           for (index_t tr = ranges[rg]; tr < ranges[rg + 1]; ++tr) {
             const offset_t t_begin = g.csr_tile_ptr[tr];
             const offset_t t_end = g.csr_tile_ptr[tr + 1];
@@ -256,7 +259,7 @@ struct BitTileGraph {
                 const index_t c = a.col_idx[i];
                 const index_t t = slot_of[c / NT];
                 if (t == kEmptyTile) {
-                  extracted.emplace_back(c, r);
+                  extracted.push(c, r);
                   continue;
                 }
                 g.csr_masks[static_cast<std::size_t>(t) * NT + lr] |=
@@ -274,11 +277,9 @@ struct BitTileGraph {
     // the serial row-major insertion order).
     g.side_ptr.assign(g.n + 1, 0);
     std::size_t total_extracted = 0;
-    for (const auto& extracted : range_extracted) {
+    for (const auto& extracted : range_lists) {
       total_extracted += extracted.size();
-      for (const auto& [src, dst] : extracted) {
-        ++g.side_ptr[src + 1];
-      }
+      for (const index_t src : extracted.idx) ++g.side_ptr[src + 1];
     }
     g.side_dst.resize(total_extracted);
     for (index_t v = 0; v < g.n; ++v) {
@@ -287,9 +288,9 @@ struct BitTileGraph {
     g.build_side_summary();
     {
       std::vector<offset_t> cursor(g.side_ptr.begin(), g.side_ptr.end() - 1);
-      for (const auto& extracted : range_extracted) {
-        for (const auto& [src, dst] : extracted) {
-          g.side_dst[cursor[src]++] = dst;
+      for (const auto& extracted : range_lists) {
+        for (std::size_t e = 0; e < extracted.size(); ++e) {
+          g.side_dst[cursor[extracted.idx[e]]++] = extracted.vals[e];
         }
       }
     }

@@ -23,6 +23,9 @@
 //   core-atomic-add   no atomic_add under src/core: a float sum whose
 //                     order follows thread timing is not bitwise
 //                     reproducible
+//   core-nested-vector no std::vector<std::vector<...>> under src/core:
+//                     per-task lists in one such vector share cache lines
+//                     through their headers; use detail::PairList
 //   include-hygiene   no <iostream> in headers under src/tile, src/core,
 //                     src/bfs
 //   mapped-taint      flow-aware: values originating in mmapped tile-file
@@ -810,6 +813,26 @@ void rule_core_atomic_add(const Tree& t, std::vector<Violation>& out) {
                        "results in range order instead"});
       }
       p += 10;
+    }
+  }
+}
+
+void rule_core_nested_vector(const Tree& t, std::vector<Violation>& out) {
+  static const std::string kNested = "std::vector<std::vector<";
+  for (const SourceFile& f : t.files) {
+    if (f.rel.rfind("src/core/", 0) != 0) continue;
+    const std::vector<std::string> raw_lines = split_lines(f.raw);
+    std::size_t p = 0;
+    while ((p = f.code.find(kNested, p)) != std::string::npos) {
+      const int line = f.line_at[p];
+      if (!allowed(raw_lines, line, "core-nested-vector")) {
+        out.push_back({f.rel, line, "core-nested-vector",
+                       "nested std::vector under src/core — the inner "
+                       "vectors' headers share cache lines, so tasks filling "
+                       "neighbouring lists false-share; use a "
+                       "std::vector<detail::PairList<T>>"});
+      }
+      p += kNested.size();
     }
   }
 }
@@ -1962,6 +1985,7 @@ std::vector<Violation> lint_tree(const fs::path& root) {
   rule_hot_path(t, out);
   rule_raw_atomic(t, out);
   rule_core_atomic_add(t, out);
+  rule_core_nested_vector(t, out);
   rule_include_hygiene(t, out);
   rule_mapped_taint(t, out);
   rule_shared_write(t, out);
